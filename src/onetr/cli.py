@@ -26,7 +26,7 @@ from .characterize import (cutoff_table, linear_vin_range, power_monte_carlo,
 from .data import make_blobs, read_dataset_csv
 from .device import (ANALYTICAL, IDEAL_SWITCH, default_device,
                      leakage_stressed_device, load_device_file)
-from .errors import ToolkitError
+from .errors import ToolkitError, read_json_object
 from .network import Model, TrainConfig, accuracy, train
 from .training import (evaluate, homogeneous_schedule, iterative_train,
                        linear_fraction, load_checkpoint, network_energy,
@@ -121,8 +121,8 @@ def _require_file(path, what) -> Path:
 
 def _load_schedule_for(args, checkpoint):
     if getattr(args, "schedule", None):
-        with open(_require_file(args.schedule, "schedule file")) as fh:
-            return schedule_from_dict(json.load(fh))
+        path = _require_file(args.schedule, "schedule file")
+        return schedule_from_dict(read_json_object(path))
     if checkpoint.schedule is not None:
         return checkpoint.schedule
     raise CliError(4, "no schedule: pass --schedule or use a checkpoint "
@@ -274,8 +274,8 @@ def _build_schedule(args, model, t, mem):
             raise CliError(2, "--vg is required for a homogeneous schedule")
         schedule = homogeneous_schedule(model, args.vg, table, mem, grid=grid)
     else:
-        with open(_require_file(args.schedule, "schedule file")) as fh:
-            return None, schedule_from_dict(json.load(fh))
+        path = _require_file(args.schedule, "schedule file")
+        return None, schedule_from_dict(read_json_object(path))
     if getattr(args, "step_down", False):
         schedule = step_down_schedule(schedule, table, mem)
     return table, schedule

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .device import ANALYTICAL, DeviceMode, TransistorParams, solve_synapse_grid
-from .errors import DomainError
+from .errors import DomainError, read_json_object
 from .mapping import LayerScale, clip_weights, weight_to_conductance
 
 DEFAULT_TILE_ROWS = 64
@@ -319,5 +319,4 @@ def save_tileset(path, ts: CrossbarTileSet) -> None:
 
 
 def load_tileset(path) -> CrossbarTileSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return tileset_from_dict(json.load(fh))
+    return tileset_from_dict(read_json_object(path))

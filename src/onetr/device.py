@@ -17,21 +17,23 @@ leakage-like bump in ``g_eff`` at low read voltages.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, read_json_object
 
 # Read voltage used for the secant slope that defines g_eff at v_in = 0.
 V_EPSILON = 1e-6
 
-# A bracket of width v_in collapses to float resolution in well under 64
-# halvings; the contract allows up to 200.
-_BISECT_ITERS = 64
+# Each cell stops once |KCL residual| <= _SOLVE_RTOL * g_m * v_in, or after
+# _SOLVE_MAX_ITERS steps at its last iterate.  Cells are solved in blocks of
+# _SOLVE_BLOCK, which keeps temporaries in cache and bounds solver memory.
+_SOLVE_RTOL = 1e-13
+_SOLVE_MAX_ITERS = 64
+_SOLVE_BLOCK = 4096
 
 _ENV_DEVICE_FILE = "ONETR_DEVICE_FILE"
 
@@ -96,14 +98,18 @@ class SynapseSolution:
     g_eff: float  # S, current / v_in (secant slope at v_in = 0)
 
 
-def _current_raw(vgs, vds, p: TransistorParams):
-    """Transistor drain current without argument validation."""
+def _gate_terms(vgs, p: TransistorParams):
+    """Gate-only factors of the drain current: leak prefactor and overdrive."""
     ov = vgs - p.vth
     # Subthreshold exponential, clamped at its vgs = vth value above threshold
     # so the total current stays continuous across the threshold boundary.
-    leak = p.i0_sub * np.exp(np.minimum(ov, 0.0) / (p.n_sub * p.v_thermal))
-    leak = leak * -np.expm1(-vds / p.v_thermal)
-    ov_pos = np.maximum(ov, 0.0)
+    leak0 = p.i0_sub * np.exp(np.minimum(ov, 0.0) / (p.n_sub * p.v_thermal))
+    return leak0, np.maximum(ov, 0.0)
+
+
+def _drain_current(leak0, ov_pos, vds, p: TransistorParams):
+    """Drain current without argument validation."""
+    leak = leak0 * -np.expm1(-vds / p.v_thermal)
     clm = 1.0 + p.lambda_ * vds
     triode = p.kp * (ov_pos * vds - 0.5 * vds * vds) * clm
     sat = 0.5 * p.kp * ov_pos * ov_pos * clm
@@ -126,31 +132,58 @@ def transistor_current(vgs, vds, p: TransistorParams):
         raise DomainError("vgs and vds must be finite")
     if np.any(vgs < 0.0) or np.any(vds < 0.0):
         raise DomainError("vgs and vds must be non-negative")
-    i = _current_raw(vgs, vds, p)
+    i = _drain_current(*_gate_terms(vgs, p), vds, p)
     return float(i) if scalar else i
 
 
 def _solve_v_internal(g_m, v_in, v_g, p: TransistorParams):
-    """Bisection for the internal node voltage on broadcast arrays.
+    """Internal node voltage on broadcast arrays, solved block by block.
 
     The KCL residual ``(v_in - x) * g_m - i_transistor(v_g, x)`` is positive
-    at ``x = 0``, negative at ``x = v_in`` and strictly decreasing, so the
-    root is bracketed.  The bracket is halved until it collapses to float
-    resolution, which keeps the current mismatch far below 1e-9 relative.
+    at ``x = 0``, non-positive at ``x = v_in`` and strictly decreasing, so the
+    root is bracketed.  Each cell iterates and stops on its own, so its result
+    does not depend on the other cells of its call or block.
     """
-    shape = np.broadcast_shapes(np.shape(g_m), np.shape(v_in), np.shape(v_g))
-    g_m = np.broadcast_to(np.asarray(g_m, dtype=float), shape)
-    v_in = np.broadcast_to(np.asarray(v_in, dtype=float), shape)
-    v_g = np.broadcast_to(np.asarray(v_g, dtype=float), shape)
-    lo = np.zeros(shape)
-    hi = np.array(v_in, dtype=float, copy=True)
-    for _ in range(_BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        residual = (v_in - mid) * g_m - _current_raw(v_g, mid, p)
-        above = residual >= 0.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return 0.5 * (lo + hi)
+    it = np.nditer([g_m, v_in, *_gate_terms(np.asarray(v_g, dtype=float), p),
+                    None], flags=["external_loop", "buffered", "zerosize_ok"],
+                   op_flags=[["readonly"]] * 4 + [["writeonly", "allocate"]],
+                   buffersize=_SOLVE_BLOCK)
+    with it:
+        for g, v, leak0, ov_pos, x in it:
+            x[...] = _illinois(g, v, leak0, ov_pos, p)
+        return it.operands[4]
+
+
+def _illinois(g_m, v_in, leak0, ov_pos, p: TransistorParams):
+    """Illinois (modified regula falsi, Dowell & Jarratt 1972) solve of a block.
+
+    A bracket end kept twice in a row has its stored residual halved, so the
+    stored residuals are not true ones: each cell returns its last iterate.
+    """
+    x_out = np.empty_like(v_in)
+    idx = np.arange(v_in.size)
+    lo, hi = np.zeros_like(v_in), v_in
+    f_lo, f_hi = v_in * g_m, -_drain_current(leak0, ov_pos, v_in, p)
+    tol = _SOLVE_RTOL * f_lo
+    kept_lo = kept_hi = np.zeros(v_in.size, dtype=bool)
+    for _ in range(_SOLVE_MAX_ITERS):
+        # Clip, never bisect: a rounding overshoot stays at the bracket end.
+        x = np.minimum(np.maximum(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo), hi)
+        f = (v_in - x) * g_m - _drain_current(leak0, ov_pos, x, p)
+        x_out[idx] = x  # converged cells then leave the active arrays
+        up = f > 0.0  # the root lies above x, which becomes the new lo
+        f_lo = np.where(up, f, np.where(kept_lo, 0.5 * f_lo, f_lo))
+        f_hi = np.where(up, np.where(kept_hi, 0.5 * f_hi, f_hi), f)
+        lo, hi = np.where(up, x, lo), np.where(up, hi, x)
+        kept_lo, kept_hi = ~up, up
+        active = np.abs(f) > tol
+        if not active.all():
+            (idx, g_m, v_in, leak0, ov_pos, tol, lo, hi, f_lo, f_hi, kept_lo,
+             kept_hi) = (a[active] for a in (idx, g_m, v_in, leak0, ov_pos, tol,
+                                             lo, hi, f_lo, f_hi, kept_lo, kept_hi))
+            if not idx.size:
+                break
+    return x_out
 
 
 def _validate_operating_point(g_m, v_in, v_g):
@@ -221,10 +254,7 @@ DEVICE_FILE_VERSION = 1
 
 def load_device_file(path) -> tuple[TransistorParams, MemristorParams]:
     """Read a flat JSON parameter file with transistor and memristor fields."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise DomainError(f"device file {path}: expected a JSON object")
+    raw = read_json_object(path)
     try:
         t_kwargs = {attr: float(raw[key]) for key, attr in _TRANSISTOR_KEYS.items()}
         m_kwargs = {attr: float(raw[key]) for key, attr in _MEMRISTOR_KEYS.items()}

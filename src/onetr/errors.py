@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the JSON artifact reader."""
+
+import json
 
 
 class ToolkitError(Exception):
@@ -19,3 +21,15 @@ class CutoffLookupError(DomainError):
 
 class TrainingDivergedError(ToolkitError):
     """Training produced a non-finite loss."""
+
+
+def read_json_object(path) -> dict:
+    """Load a JSON artifact; invalid JSON or a non-object raises DomainError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise DomainError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise DomainError(f"{path}: expected a JSON object")
+    return raw

@@ -25,7 +25,7 @@ import numpy as np
 from .crossbar import (DEFAULT_TILE_COLS, DEFAULT_TILE_ROWS, CrossbarTileSet,
                        mvm_energy_batch, mvm_nonideal_batch, program)
 from .device import ANALYTICAL, DeviceMode, MemristorParams, TransistorParams
-from .errors import DomainError
+from .errors import DomainError, read_json_object
 from .mapping import layer_scale, scale_from_range, wcut_from_vg
 from .network import Dense, Model, TrainConfig, accuracy, train
 
@@ -353,11 +353,7 @@ def save_checkpoint(path, model: Model, schedule: Optional[VgSchedule] = None,
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"{path}: not valid JSON: {exc}") from exc
+    raw = read_json_object(path)
     if raw.get("format_version") != CHECKPOINT_FILE_VERSION:
         raise DomainError(f"{path}: unsupported checkpoint version")
     try:

@@ -190,3 +190,40 @@ def test_domain_errors_exit_4(tmp_path):
     assert main(["cutoff", "--tm", "1.5", "--out", str(tmp_path / "run")]) == 4
     assert main(["characterize", "--gm=-1e-5", "--vg", "0.9",
                  "--out", str(tmp_path / "run2")]) == 4
+
+
+@pytest.fixture
+def malformed_json(tmp_path):
+    """One JSON file with a non-object top level, one that is not JSON."""
+    paths = [tmp_path / "list.json", tmp_path / "broken.json"]
+    paths[0].write_text("[1, 2]")
+    paths[1].write_text("{not json")
+    return [str(p) for p in paths]
+
+
+def test_malformed_checkpoint_exits_4(tmp_path, malformed_json, small_csvs):
+    train_csv, test_csv = small_csvs
+    for i, path in enumerate(malformed_json):
+        for command in ("eval", "energy"):
+            assert main([command, "--checkpoint", path,
+                         "--out", str(tmp_path / f"{command}{i}"),
+                         "--data", train_csv, "--test-data", test_csv]) == 4
+
+
+def test_malformed_schedule_file_exits_4(tmp_path, malformed_json,
+                                         trained_checkpoint, small_csvs):
+    train_csv, test_csv = small_csvs
+    for i, path in enumerate(malformed_json):
+        assert main(["search-vg", "--checkpoint", trained_checkpoint,
+                     "--schedule", path,
+                     "--out", str(tmp_path / f"search{i}")]) == 4
+        assert main(["eval", "--checkpoint", trained_checkpoint,
+                     "--mode", "crossbar", "--schedule", path,
+                     "--out", str(tmp_path / f"eval{i}"),
+                     "--data", train_csv, "--test-data", test_csv]) == 4
+
+
+def test_malformed_device_file_exits_4(tmp_path, malformed_json):
+    for i, path in enumerate(malformed_json):
+        assert main(["cutoff", "--device", path,
+                     "--out", str(tmp_path / f"run{i}")]) == 4

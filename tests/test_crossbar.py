@@ -277,3 +277,7 @@ def test_tileset_version_check(tmp_path, device, table):
     path.write_text(json.dumps(raw))
     with pytest.raises(DomainError):
         load_tileset(path)
+    for text in ("[1, 2]", "{not json"):
+        path.write_text(text)
+        with pytest.raises(DomainError):
+            load_tileset(path)

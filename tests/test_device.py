@@ -9,7 +9,7 @@ from onetr import (ANALYTICAL, IDEAL_SWITCH, DeviceMode, DomainError,
                    effective_conductance, leakage_stressed_device,
                    load_device_file, save_device_file, solve_synapse,
                    solve_synapse_grid, transistor_current)
-from onetr.device import V_EPSILON
+from onetr.device import _SOLVE_BLOCK, V_EPSILON
 
 # Square-law reference device used by the frozen current values below.
 SQUARE_LAW = TransistorParams(vth=0.4, kp=5e-4, lambda_=0.0, i0_sub=0.0)
@@ -80,20 +80,52 @@ def test_parameter_validation():
         DeviceMode("magic")
 
 
-def test_solve_satisfies_current_balance(device):
+def test_solve_satisfies_current_balance(device, stressed):
+    # The stressed device runs every cell below threshold.  At low v_g its
+    # leak is below g_m times one ulp of v_in, so the memristor drop, and
+    # with it g_eff, can round to zero; only there is g_eff == 0 allowed.
+    for (t, mem), leak_floor in ((device, False), (stressed, True)):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            g_m = rng.uniform(mem.g_off, mem.g_on)
+            v_in = rng.uniform(1e-3, 0.5)
+            v_g = rng.uniform(0.0, 1.2)
+            sol = solve_synapse(g_m, v_in, v_g, t)
+            i_mem = (v_in - sol.v_internal) * g_m
+            i_tr = transistor_current(v_g, sol.v_internal, t)
+            scale = max(abs(sol.current), g_m * v_in)
+            assert abs(i_mem - i_tr) <= 1e-12 * scale
+            assert 0.0 <= sol.v_internal <= v_in
+            assert sol.g_eff <= g_m * (1.0 + 1e-12)
+            assert sol.g_eff >= 0.0 if leak_floor else sol.g_eff > 0.0
+        # Edge points: the smallest solved read voltage, the gate fully off
+        # and at the top of the sampled range, both ends of the window.
+        g_m, v_in, v_g = np.meshgrid([mem.g_off, mem.g_on], [V_EPSILON, 0.5],
+                                     [0.0, 1.2], indexing="ij")
+        current, x, g_eff = solve_synapse_grid(g_m, v_in, v_g, t)
+        residual = (v_in - x) * g_m - transistor_current(v_g, x, t)
+        scale = np.maximum(np.abs(current), g_m * v_in)
+        assert np.max(np.abs(residual) / scale) < 1e-9
+        assert np.all((0.0 <= x) & (x <= v_in))
+        assert np.all(g_eff <= g_m * (1.0 + 1e-12))
+        assert np.all(g_eff >= 0.0 if leak_floor else g_eff > 0.0)
+
+
+def test_solve_is_independent_of_block_neighbours(device):
+    # Each cell stops on its own test, so a cell's operating point must not
+    # depend on the cells that share its call or its solver block.
     t, mem = device
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        g_m = rng.uniform(mem.g_off, mem.g_on)
-        v_in = rng.uniform(1e-3, 0.5)
-        v_g = rng.uniform(0.0, 1.2)
-        sol = solve_synapse(g_m, v_in, v_g, t)
-        i_mem = (v_in - sol.v_internal) * g_m
-        i_tr = transistor_current(v_g, sol.v_internal, t)
-        scale = max(abs(sol.current), g_m * v_in)
-        assert abs(i_mem - i_tr) <= 1e-12 * scale
-        assert 0.0 <= sol.v_internal <= v_in
-        assert 0.0 < sol.g_eff <= g_m * (1.0 + 1e-12)
+    rng = np.random.default_rng(5)
+    ranges = ((mem.g_off, mem.g_on), (1e-3, 0.5), (0.0, 1.2))
+    cells = [rng.uniform(lo, hi, 4) for lo, hi in ranges]
+    alone = solve_synapse_grid(*cells, t)
+    crowd = [rng.uniform(lo, hi, 3 * _SOLVE_BLOCK) for lo, hi in ranges]
+    at = _SOLVE_BLOCK + np.array([-2, -1, 0, 1])  # across a block boundary
+    for big, small in zip(crowd, cells):
+        big[at] = small
+    together = solve_synapse_grid(*crowd, t)
+    for a, b in zip(alone, together):
+        assert np.array_equal(a, b[at])
 
 
 def test_geff_at_zero_input_is_secant_limit(device):
