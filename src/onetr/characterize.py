@@ -18,7 +18,7 @@ import numpy as np
 from . import mapping
 from .device import (ANALYTICAL, DeviceMode, MemristorParams,
                      TransistorParams, solve_synapse_grid)
-from .errors import CutoffLookupError, DomainError
+from .errors import CutoffLookupError, DomainError, atomic_write
 
 DEFAULT_V_SUPPLY = 0.5
 DEFAULT_TM_THRESHOLD = 0.025
@@ -210,7 +210,7 @@ def cutoff_table(v_g_values, t: TransistorParams, mem: MemristorParams,
 
 def write_cutoff_csv(table: CutoffTable, path) -> None:
     """Write a cutoff table as CSV; missing cutoffs become empty fields."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["v_g", "g_m_cutoff"])
         for vg, cutoff in table.entries:

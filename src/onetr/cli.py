@@ -26,7 +26,7 @@ from .characterize import (cutoff_table, linear_vin_range, power_monte_carlo,
 from .data import make_blobs, read_dataset_csv
 from .device import (ANALYTICAL, IDEAL_SWITCH, default_device,
                      leakage_stressed_device, load_device_file)
-from .errors import ToolkitError, read_json_object
+from .errors import ToolkitError, atomic_write, read_json_object
 from .network import Model, TrainConfig, accuracy, train
 from .training import (evaluate, homogeneous_schedule, iterative_train,
                        linear_fraction, load_checkpoint, network_energy,
@@ -36,6 +36,7 @@ from .training import (evaluate, homogeneous_schedule, iterative_train,
 
 _LOCK_NAME = ".onetr.lock"
 MANIFEST_FILE_VERSION = 1
+_DEVICE_MODES = {"analytical": ANALYTICAL, "ideal_switch": IDEAL_SWITCH}
 
 
 class CliError(Exception):
@@ -78,14 +79,6 @@ def _positive(name, value):
     return value
 
 
-def _device_mode(name: str):
-    if name == "analytical":
-        return ANALYTICAL
-    if name == "ideal_switch":
-        return IDEAL_SWITCH
-    raise CliError(2, f"unknown device mode {name!r}")
-
-
 def _load_device(spec: str):
     try:
         if spec == "default":
@@ -97,6 +90,13 @@ def _load_device(spec: str):
         return load_device_file(spec)
     except OSError as exc:
         raise CliError(3, f"cannot read device file {spec}: {exc}") from exc
+
+
+def _device(args):
+    """``(t, mem, mode)`` from --device and --device-mode; checks --vsupply."""
+    t, mem = _load_device(args.device)
+    _positive("vsupply", args.vsupply)
+    return t, mem, _DEVICE_MODES[args.device_mode]
 
 
 def _load_data(args):
@@ -133,13 +133,13 @@ def _load_schedule_for(args, checkpoint):
 # output helpers
 
 def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -190,9 +190,7 @@ class _OutputDir:
 # subcommands
 
 def cmd_characterize(args, out: Path) -> int:
-    t, mem = _load_device(args.device)
-    mode = _device_mode(args.device_mode)
-    _positive("vsupply", args.vsupply)
+    t, mem, mode = _device(args)
     curve = sweep_geff(args.gm, args.vg, t, v_supply=args.vsupply, mode=mode)
     _write_csv(out / "geff_curve.csv", ["v_in", "g_eff"],
                zip(curve.v_in.tolist(), curve.g_eff.tolist()))
@@ -210,9 +208,7 @@ def cmd_characterize(args, out: Path) -> int:
 
 
 def cmd_cutoff(args, out: Path) -> int:
-    t, mem = _load_device(args.device)
-    mode = _device_mode(args.device_mode)
-    _positive("vsupply", args.vsupply)
+    t, mem, mode = _device(args)
     table = cutoff_table(parse_vg_values(args.vg), t, mem,
                          tm_threshold=args.tm, v_supply=args.vsupply,
                          mode=mode)
@@ -224,9 +220,7 @@ def cmd_cutoff(args, out: Path) -> int:
 
 
 def cmd_power_mc(args, out: Path) -> int:
-    t, mem = _load_device(args.device)
-    mode = _device_mode(args.device_mode)
-    _positive("vsupply", args.vsupply)
+    t, mem, mode = _device(args)
     rows = []
     for vg in parse_vg_values(args.vg):
         report = power_monte_carlo(args.rows, args.cols, args.samples, vg,
@@ -282,8 +276,7 @@ def _build_schedule(args, model, t, mem):
 
 
 def cmd_search_vg(args, out: Path) -> int:
-    t, mem = _load_device(args.device)
-    _positive("vsupply", args.vsupply)
+    t, mem, _ = _device(args)
     checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
     table, schedule = _build_schedule(args, checkpoint.model, t, mem)
     if table is not None:
@@ -295,8 +288,7 @@ def cmd_search_vg(args, out: Path) -> int:
 
 
 def cmd_neat(args, out: Path) -> int:
-    t, mem = _load_device(args.device)
-    _positive("vsupply", args.vsupply)
+    t, mem, _ = _device(args)
     if args.checkpoint:
         checkpoint = load_checkpoint(_require_file(args.checkpoint,
                                                    "checkpoint"))
@@ -335,13 +327,11 @@ def cmd_eval(args, out: Path) -> int:
         payload = {"mode": "software", "accuracy": acc,
                    "n_test": int(len(y_te))}
     else:
-        t, mem = _load_device(args.device)
-        _positive("vsupply", args.vsupply)
+        t, mem, mode = _device(args)
         schedule = _load_schedule_for(args, checkpoint)
         acc = evaluate(checkpoint.model, x_te, y_te, mode="crossbar",
                        schedule=schedule, t=t, mem=mem, calib_x=x_tr,
-                       device_mode=_device_mode(args.device_mode),
-                       v_supply=args.vsupply)
+                       device_mode=mode, v_supply=args.vsupply)
         payload = {"mode": "crossbar", "accuracy": acc,
                    "n_test": int(len(y_te)),
                    "device_mode": args.device_mode,
@@ -353,15 +343,13 @@ def cmd_eval(args, out: Path) -> int:
 
 def cmd_energy(args, out: Path) -> int:
     checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    t, mem = _load_device(args.device)
-    _positive("vsupply", args.vsupply)
+    t, mem, mode = _device(args)
     schedule = _load_schedule_for(args, checkpoint)
     x_tr, y_tr, x_te, y_te = _load_data(args)
     x_eval = x_te[:args.max_samples] if args.max_samples else x_te
     tilesets = program_model(checkpoint.model, schedule, mem, x_tr)
     biases = [l.b for l in checkpoint.model.dense_layers()]
-    energy = network_energy(tilesets, biases, x_eval, t,
-                            mode=_device_mode(args.device_mode),
+    energy = network_energy(tilesets, biases, x_eval, t, mode=mode,
                             v_supply=args.vsupply,
                             pulse_width=args.pulse_width,
                             c_gate=args.c_gate)
@@ -378,8 +366,7 @@ def cmd_energy(args, out: Path) -> int:
 
 def cmd_report(args, out: Path) -> int:
     checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    t, mem = _load_device(args.device)
-    _positive("vsupply", args.vsupply)
+    t, mem, mode = _device(args)
     x_tr, y_tr, x_te, y_te = _load_data(args)
     x_eval = x_te[:args.max_samples] if args.max_samples else x_te
     y_eval = y_te[:args.max_samples] if args.max_samples else y_te
@@ -392,12 +379,11 @@ def cmd_report(args, out: Path) -> int:
         schedule = homogeneous_schedule(checkpoint.model, vg, table, mem,
                                         grid=grid)
         tilesets = program_model(checkpoint.model, schedule, mem, x_tr)
-        energy = network_energy(tilesets, biases, x_eval, t,
+        energy = network_energy(tilesets, biases, x_eval, t, mode=mode,
                                 v_supply=args.vsupply,
                                 pulse_width=args.pulse_width,
                                 c_gate=args.c_gate)
-        acc = evaluate(checkpoint.model, x_eval, y_eval, mode="crossbar",
-                       t=t, v_supply=args.vsupply, tilesets=tilesets)
+        acc = float(np.mean(np.argmax(energy["logits"], axis=1) == y_eval))
         return {"v_g": vg, "accuracy": acc, "total_J": energy["total"],
                 "per_sample_J": energy["total"] / int(x_eval.shape[0])}
 
@@ -424,7 +410,7 @@ def _add_common(p, device=True, vsupply=True):
                        help="device parameter file, or 'default'/'stressed' "
                             "for the bundled sets")
         p.add_argument("--device-mode", default="analytical",
-                       choices=["analytical", "ideal_switch"])
+                       choices=list(_DEVICE_MODES))
     if vsupply:
         p.add_argument("--vsupply", type=float, default=0.5,
                        help="read supply voltage in V (default %(default)s)")
@@ -575,9 +561,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

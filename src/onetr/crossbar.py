@@ -22,13 +22,14 @@ from typing import Optional
 import numpy as np
 
 from .device import ANALYTICAL, DeviceMode, TransistorParams, solve_synapse_grid
-from .errors import DomainError, read_json_object
+from .errors import DomainError, atomic_write, read_json_object
 from .mapping import LayerScale, clip_weights, weight_to_conductance
 
 DEFAULT_TILE_ROWS = 64
 DEFAULT_TILE_COLS = 64
 DEFAULT_PULSE_WIDTH = 1e-9  # s
 DEFAULT_C_GATE = 1e-15  # F per row gate line
+_MVM_BLOCK_CELLS = 1 << 16  # cells per batch slice of the crossbar solve
 
 TILESET_FILE_VERSION = 1
 
@@ -58,10 +59,10 @@ class CrossbarTileSet:
 
 
 @dataclass(frozen=True)
-class MvmResult:
-    outputs: np.ndarray  # weight * activation units, per logical column
-    column_currents: np.ndarray  # (cols, 2): summed plus / minus currents, A
-    energy: Optional[float] = None  # J per operation, when requested
+class MvmResult:  # batched fields lead with a batch axis
+    outputs: np.ndarray  # ([batch,] cols) weight * activation units
+    column_currents: np.ndarray  # ([batch,] cols, 2): plus / minus currents, A
+    energy: float | np.ndarray | None = None  # J per operation, if asked
 
 
 def program(weights, entry, scale: LayerScale,
@@ -115,8 +116,11 @@ def _assemble(ts: CrossbarTileSet):
     return g_plus, g_minus
 
 
-def _read_voltages(ts: CrossbarTileSet, activations, v_supply: float):
+def _read_voltages(ts: CrossbarTileSet, activations, v_supply: float,
+                   ndim: int):
     x = np.asarray(activations, dtype=float)
+    if x.ndim != ndim:
+        raise DomainError(f"expected {ndim}-D activations, got shape {x.shape}")
     if x.shape[-1] != ts.shape[0]:
         raise DomainError(f"activation length {x.shape[-1]} does not match "
                           f"{ts.shape[0]} crossbar rows")
@@ -159,9 +163,7 @@ def mvm_ideal(ts: CrossbarTileSet, activations, v_supply: float = 0.5) -> MvmRes
     outputs reproduce the mathematical product of the clipped weights with
     the activations up to float rounding.
     """
-    v = _read_voltages(ts, activations, v_supply)
-    if v.ndim != 1:
-        raise DomainError("mvm_ideal expects a single activation vector")
+    v = _read_voltages(ts, activations, v_supply, 1)
     g_plus, g_minus = _assemble(ts)
     i_plus = v @ g_plus
     i_minus = v @ g_minus
@@ -169,35 +171,39 @@ def mvm_ideal(ts: CrossbarTileSet, activations, v_supply: float = 0.5) -> MvmRes
     return MvmResult(outputs, np.stack([i_plus, i_minus], axis=1))
 
 
-def _solve_currents(ts, v, t, mode):
-    """Per-cell currents for (..., rows) read voltages; returns (..., rows, 2*cols)."""
-    g_plus, g_minus = _assemble(ts)
-    g_all = np.concatenate([g_plus, g_minus], axis=1)
-    current, _, _ = solve_synapse_grid(g_all, v[..., :, None], ts.v_g, t, mode)
-    return current
+def _slice_samples(rows: int, cols: int) -> int:
+    """Samples per batch slice: at most _MVM_BLOCK_CELLS cells, or one sample."""
+    return max(1, _MVM_BLOCK_CELLS // (2 * rows * cols))
 
 
-def _nonideal_batch(ts, activations, t, mode, v_supply, pulse_width, c_gate):
-    v = _read_voltages(ts, activations, v_supply)
-    single = v.ndim == 1
-    v2 = v[None, :] if single else v
-    current = _solve_currents(ts, v2, t, mode)
-    cols = ts.shape[1]
-    col_current = current.sum(axis=1)  # fixed global row order
-    i_plus = col_current[:, :cols]
-    i_minus = col_current[:, cols:]
+def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
+    """One cell solve of (batch, rows) read voltages, in batch slices.
+
+    Every sum runs per sample, so results do not depend on the slicing.
+    """
+    if pulse_width is not None and (pulse_width <= 0 or c_gate < 0):
+        raise DomainError("pulse_width must be > 0 and c_gate >= 0")
+    g_all = np.concatenate(_assemble(ts), axis=1)
+    rows, cols = ts.shape
     gain = readout_gain(ts, t, mode, v_supply)
-    outputs = _rescale(ts, i_plus, i_minus, gain, v_supply)
-    energy = None
-    if pulse_width is not None:
-        energy = _energy_from_currents(ts, v2, current, pulse_width, c_gate)
-    return v2, i_plus, i_minus, outputs, energy, single
+    step = _slice_samples(rows, cols)
+    col_current, energy = [], []
+    for s in range(0, max(v.shape[0], 1), step):  # an empty batch: 1 slice
+        vs = v[s:s + step]
+        current = solve_synapse_grid(g_all, vs[:, :, None], ts.v_g, t, mode)[0]
+        col_current.append(current.sum(axis=1))  # fixed global row order
+        if pulse_width is not None:
+            energy.append(_energy_from_currents(ts, vs, current,
+                                                pulse_width, c_gate))
+    col_current = np.concatenate(col_current)
+    i_plus, i_minus = col_current[:, :cols], col_current[:, cols:]
+    return MvmResult(_rescale(ts, i_plus, i_minus, gain, v_supply),
+                     np.stack([i_plus, i_minus], axis=-1),
+                     np.concatenate(energy) if energy else None)
 
 
 def _energy_from_currents(ts, v, current, pulse_width, c_gate):
     """Per-sample energy as the sum of per-tile contributions."""
-    if pulse_width <= 0 or c_gate < 0:
-        raise DomainError("pulse_width must be > 0 and c_gate >= 0")
     cols = ts.shape[1]
     power = v[:, :, None] * current  # (batch, rows, 2*cols)
     energy = np.zeros(v.shape[0])
@@ -221,23 +227,20 @@ def mvm_nonideal(ts: CrossbarTileSet, activations, t: TransistorParams,
     order, so results are bit-identical for any tile split.  Passing
     ``pulse_width`` also fills the per-operation energy.
     """
-    _, i_plus, i_minus, outputs, energy, single = _nonideal_batch(
-        ts, activations, t, mode, v_supply, pulse_width, c_gate)
-    if not single:
-        raise DomainError("mvm_nonideal expects a single activation vector")
-    return MvmResult(outputs[0], np.stack([i_plus[0], i_minus[0]], axis=1),
-                     None if energy is None else float(energy[0]))
+    v = _read_voltages(ts, activations, v_supply, 1)
+    r = _nonideal_batch(ts, v[None, :], t, mode, v_supply, pulse_width, c_gate)
+    return MvmResult(r.outputs[0], r.column_currents[0],
+                     None if r.energy is None else float(r.energy[0]))
 
 
 def mvm_nonideal_batch(ts: CrossbarTileSet, activations, t: TransistorParams,
-                       mode: DeviceMode = ANALYTICAL,
-                       v_supply: float = 0.5) -> np.ndarray:
-    """Outputs for a batch of activation vectors, shape (batch, cols)."""
-    _, _, _, outputs, _, single = _nonideal_batch(
-        ts, activations, t, mode, v_supply, None, 0.0)
-    if single:
-        raise DomainError("mvm_nonideal_batch expects a 2-D activation batch")
-    return outputs
+                       mode: DeviceMode = ANALYTICAL, v_supply: float = 0.5,
+                       pulse_width: Optional[float] = None,
+                       c_gate: float = DEFAULT_C_GATE) -> MvmResult:
+    """``mvm_nonideal`` over (batch, rows) activations, solved in bounded
+    batch slices; every result field gains a leading batch axis."""
+    v = _read_voltages(ts, activations, v_supply, 2)
+    return _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate)
 
 
 def mvm_energy(ts: CrossbarTileSet, activations, t: TransistorParams,
@@ -251,12 +254,8 @@ def mvm_energy(ts: CrossbarTileSet, activations, t: TransistorParams,
     active row per tile.  All-zero activations with a zero gate capacitance
     cost exactly zero.
     """
-    v = _read_voltages(ts, activations, v_supply)
-    if v.ndim != 1:
-        raise DomainError("mvm_energy expects a single activation vector")
-    v2 = v[None, :]
-    current = _solve_currents(ts, v2, t, mode)
-    return float(_energy_from_currents(ts, v2, current, pulse_width, c_gate)[0])
+    return mvm_nonideal(ts, activations, t, mode, v_supply, pulse_width,
+                        c_gate).energy
 
 
 def mvm_energy_batch(ts: CrossbarTileSet, activations, t: TransistorParams,
@@ -264,11 +263,8 @@ def mvm_energy_batch(ts: CrossbarTileSet, activations, t: TransistorParams,
                      pulse_width: float = DEFAULT_PULSE_WIDTH,
                      c_gate: float = DEFAULT_C_GATE) -> np.ndarray:
     """Per-sample energies for a batch of activation vectors."""
-    v = _read_voltages(ts, activations, v_supply)
-    if v.ndim != 2:
-        raise DomainError("mvm_energy_batch expects a 2-D activation batch")
-    current = _solve_currents(ts, v, t, mode)
-    return _energy_from_currents(ts, v, current, pulse_width, c_gate)
+    return mvm_nonideal_batch(ts, activations, t, mode, v_supply,
+                              pulse_width, c_gate).energy
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +309,7 @@ def tileset_from_dict(raw: dict) -> CrossbarTileSet:
 
 
 def save_tileset(path, ts: CrossbarTileSet) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(tileset_to_dict(ts), fh, indent=2)
         fh.write("\n")
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, atomic_write
 
 N_FEATURES = 16
 N_CLASSES = 3
@@ -66,7 +66,7 @@ def write_dataset_csv(path, x, y) -> None:
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DomainError("x must be (samples, features) aligned with y")
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"f{i}" for i in range(x.shape[1])] + ["label"])
         for row, label in zip(x, y):

@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DomainError, read_json_object
+from .errors import DomainError, atomic_write, read_json_object
 
 # Read voltage used for the secant slope that defines g_eff at v_in = 0.
 V_EPSILON = 1e-6
@@ -274,7 +274,7 @@ def save_device_file(path, t: TransistorParams, mem: MemristorParams) -> None:
     entries += [(key, _decimal(getattr(t, attr))) for key, attr in _TRANSISTOR_KEYS.items()]
     entries += [(key, _decimal(getattr(mem, attr))) for key, attr in _MEMRISTOR_KEYS.items()]
     body = ",\n".join(f'  "{key}": {value}' for key, value in entries)
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write("{\n" + body + "\n}\n")
 
 

@@ -1,6 +1,8 @@
-"""Exception types shared across the toolkit, and the JSON artifact reader."""
+"""Exception types shared across the toolkit, and the artifact file helpers."""
 
+import contextlib
 import json
+import os
 
 
 class ToolkitError(Exception):
@@ -33,3 +35,17 @@ def read_json_object(path) -> dict:
     if not isinstance(raw, dict):
         raise DomainError(f"{path}: expected a JSON object")
     return raw
+
+
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """Text handle on a temp file beside ``path`` that replaces ``path`` only
+    once the block completes; a failed write leaves the old file intact."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)

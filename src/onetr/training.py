@@ -22,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .crossbar import (DEFAULT_TILE_COLS, DEFAULT_TILE_ROWS, CrossbarTileSet,
-                       mvm_energy_batch, mvm_nonideal_batch, program)
+from .crossbar import (DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH, DEFAULT_TILE_COLS,
+                       DEFAULT_TILE_ROWS, mvm_nonideal_batch, program)
 from .device import ANALYTICAL, DeviceMode, MemristorParams, TransistorParams
-from .errors import DomainError, read_json_object
+from .errors import DomainError, atomic_write, read_json_object
 from .mapping import layer_scale, scale_from_range, wcut_from_vg
 from .network import Dense, Model, TrainConfig, accuracy, train
 
@@ -260,19 +260,35 @@ def program_model(model: Model, schedule: VgSchedule, mem: MemristorParams,
     return tilesets
 
 
-def crossbar_logits(tilesets, biases, x, t: TransistorParams,
-                    mode: DeviceMode = ANALYTICAL, v_supply: float = 0.5):
-    """Forward pass through programmed arrays; biases and ReLU are digital."""
+def crossbar_forward(tilesets, biases, x, t: TransistorParams,
+                     mode: DeviceMode = ANALYTICAL, v_supply: float = 0.5,
+                     pulse_width: Optional[float] = None,
+                     c_gate: float = DEFAULT_C_GATE):
+    """Forward pass through programmed arrays; biases and ReLU are digital.
+
+    One crossbar solve per layer gives ``(logits, per-layer read energy over
+    the batch)``; the energy is None without ``pulse_width``.
+    """
     if len(tilesets) != len(biases):
         raise DomainError("one bias vector per programmed layer required")
     acts = np.asarray(x, dtype=float)
+    per_layer = None if pulse_width is None else []
     last = len(tilesets) - 1
     for i, (ts, b) in enumerate(zip(tilesets, biases)):
-        acts = mvm_nonideal_batch(ts, acts, t, mode=mode,
-                                  v_supply=v_supply) + np.asarray(b)
+        r = mvm_nonideal_batch(ts, acts, t, mode=mode, v_supply=v_supply,
+                               pulse_width=pulse_width, c_gate=c_gate)
+        if per_layer is not None:
+            per_layer.append(float(np.sum(r.energy)))
+        acts = r.outputs + np.asarray(b)
         if i < last:
             acts = np.maximum(acts, 0.0)
-    return acts
+    return acts, per_layer
+
+
+def crossbar_logits(tilesets, biases, x, t: TransistorParams,
+                    mode: DeviceMode = ANALYTICAL, v_supply: float = 0.5):
+    """Logits of ``crossbar_forward`` without energy accounting."""
+    return crossbar_forward(tilesets, biases, x, t, mode, v_supply)[0]
 
 
 def evaluate(model: Model, x, y, mode: str = "software",
@@ -307,26 +323,15 @@ def evaluate(model: Model, x, y, mode: str = "software",
 
 def network_energy(tilesets, biases, x, t: TransistorParams,
                    mode: DeviceMode = ANALYTICAL, v_supply: float = 0.5,
-                   pulse_width: float = 1e-9, c_gate: float = 1e-15):
-    """Read energy of one forward pass over a batch, per layer and total.
-
-    Activations between layers come from the crossbar chain itself, so each
-    layer is billed for the inputs it actually sees.
-    """
-    if len(tilesets) != len(biases):
-        raise DomainError("one bias vector per programmed layer required")
-    acts = np.asarray(x, dtype=float)
-    per_layer = []
-    last = len(tilesets) - 1
-    for i, (ts, b) in enumerate(zip(tilesets, biases)):
-        e = mvm_energy_batch(ts, acts, t, mode=mode, v_supply=v_supply,
-                             pulse_width=pulse_width, c_gate=c_gate)
-        per_layer.append(float(np.sum(e)))
-        acts = mvm_nonideal_batch(ts, acts, t, mode=mode,
-                                  v_supply=v_supply) + np.asarray(b)
-        if i < last:
-            acts = np.maximum(acts, 0.0)
-    return {"per_layer": per_layer, "total": float(sum(per_layer))}
+                   pulse_width: float = DEFAULT_PULSE_WIDTH,
+                   c_gate: float = DEFAULT_C_GATE):
+    """Read energy of one forward pass over a batch, per layer and total,
+    plus the pass's logits.  Each layer is billed for the activations the
+    crossbar chain hands it."""
+    logits, per_layer = crossbar_forward(tilesets, biases, x, t, mode,
+                                         v_supply, pulse_width, c_gate)
+    return {"per_layer": per_layer, "total": float(sum(per_layer)),
+            "logits": logits}
 
 
 @dataclass(frozen=True)
@@ -347,7 +352,7 @@ def save_checkpoint(path, model: Model, schedule: Optional[VgSchedule] = None,
         "train_config": asdict(config) if config else None,
         "history": history,
     }
-    with open(path, "w") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from onetr import make_blobs, write_dataset_csv
-from onetr.cli import main, parse_vg_values
+from onetr import (ANALYTICAL, IDEAL_SWITCH, cutoff_table, default_device,
+                   evaluate, homogeneous_schedule, load_checkpoint, make_blobs,
+                   network_energy, program_model, read_dataset_csv,
+                   write_dataset_csv)
+from onetr.cli import _write_csv, _write_json, main, parse_vg_values
 
 
 @pytest.fixture(scope="module")
@@ -227,3 +230,52 @@ def test_malformed_device_file_exits_4(tmp_path, malformed_json):
     for i, path in enumerate(malformed_json):
         assert main(["cutoff", "--device", path,
                      "--out", str(tmp_path / f"run{i}")]) == 4
+
+
+def test_report_honours_device_mode(tmp_path, trained_checkpoint, small_csvs):
+    train_csv, test_csv = small_csvs
+    reports = {}
+    for mode in ("analytical", "ideal_switch"):
+        out = tmp_path / mode
+        assert main(["report", "--checkpoint", trained_checkpoint,
+                     "--device-mode", mode, "--out", str(out),
+                     "--max-samples", "20", "--data", train_csv,
+                     "--test-data", test_csv]) == 0
+        reports[mode] = json.loads((out / "report.json").read_text())
+    t, mem = default_device()
+    model = load_checkpoint(trained_checkpoint).model
+    x_tr, _ = read_dataset_csv(train_csv)
+    x_te, y_te = read_dataset_csv(test_csv)
+    grid = parse_vg_values("0.7:1.0:0.05")
+    table = cutoff_table(grid, t, mem)
+    biases = [l.b for l in model.dense_layers()]
+    for leg in ("baseline", "compare"):
+        ideal, analytical = reports["ideal_switch"][leg], reports["analytical"][leg]
+        schedule = homogeneous_schedule(model, ideal["v_g"], table, mem,
+                                        grid=grid)
+        tilesets = program_model(model, schedule, mem, x_tr)
+        direct = network_energy(tilesets, biases, x_te[:20], t,
+                                mode=IDEAL_SWITCH)
+        assert ideal["total_J"] == direct["total"]
+        assert ideal["total_J"] != analytical["total_J"]
+        for mode, entry in ((IDEAL_SWITCH, ideal), (ANALYTICAL, analytical)):
+            assert entry["accuracy"] == evaluate(
+                model, x_te[:20], y_te[:20], mode="crossbar", t=t,
+                tilesets=tilesets, device_mode=mode)
+
+
+def test_failed_write_keeps_previous_artifact(tmp_path):
+    path = tmp_path / "artifact.json"
+    _write_json(path, {"a": 1})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        _write_json(path, {"a": 2, "b": object()})  # fails mid-dump
+
+    def rows():
+        yield [1.0]
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        _write_csv(tmp_path / "artifact.csv", ["x"], rows())
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json"]

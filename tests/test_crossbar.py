@@ -9,6 +9,7 @@ from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, WcutSpec,
                    load_tileset, mvm_energy, mvm_ideal, mvm_nonideal,
                    mvm_nonideal_batch, program, readout_gain, save_tileset,
                    scale_from_range, sweep_geff, tolerance_metric)
+from onetr import crossbar
 from onetr.crossbar import tileset_from_dict, tileset_to_dict
 
 TM_THRESHOLD = 0.025
@@ -128,11 +129,49 @@ def test_batch_matches_single_vectors(device, table):
     w = rng.normal(size=(12, 6))
     ts, _ = _tileset(w, device, table)
     batch = rng.uniform(0, 1.0, (5, 12))
-    out = mvm_nonideal_batch(ts, batch, t)
+    out = mvm_nonideal_batch(ts, batch, t).outputs
     assert out.shape == (5, 6)
     for i in range(5):
         single = mvm_nonideal(ts, batch[i], t).outputs
         assert np.array_equal(out[i], single)
+
+
+@pytest.mark.parametrize("mode", [ANALYTICAL, IDEAL_SWITCH])
+def test_batch_slicing_is_bit_identical(monkeypatch, device, table, mode):
+    t, _ = device
+    rng = np.random.default_rng(9)
+    w = rng.normal(size=(12, 6))
+    ts, _ = _tileset(w, device, table, tile_rows=5, tile_cols=4)
+    batch = rng.uniform(0, 1.0, (7, 12))
+    whole = mvm_nonideal_batch(ts, batch, t, mode=mode, pulse_width=1e-9)
+    per_sample = 2 * 12 * 6
+    monkeypatch.setattr(crossbar, "_MVM_BLOCK_CELLS", 3 * per_sample + 10)
+    sizes = []
+    solve = crossbar.solve_synapse_grid
+
+    def recording(g_m, v_in, *args):
+        if np.ndim(v_in) == 3:
+            sizes.append(np.shape(v_in)[0])
+        return solve(g_m, v_in, *args)
+
+    monkeypatch.setattr(crossbar, "solve_synapse_grid", recording)
+    sliced = mvm_nonideal_batch(ts, batch, t, mode=mode, pulse_width=1e-9)
+    assert sizes == [3, 3, 1]
+    assert np.array_equal(sliced.outputs, whole.outputs)
+    assert np.array_equal(sliced.column_currents, whole.column_currents)
+    assert np.array_equal(sliced.energy, whole.energy)
+    assert whole.energy.shape == (7,)
+
+
+def test_batch_slice_plan_bounds_cells():
+    # Planned, not allocated: a 512x512 layer over 10,000 samples.
+    for rows, cols in [(512, 512), (64, 32), (7, 5), (1, 1)]:
+        per_sample = 2 * rows * cols
+        step = crossbar._slice_samples(rows, cols)
+        assert step >= 1
+        assert step * per_sample <= max(crossbar._MVM_BLOCK_CELLS, per_sample)
+    starts = range(0, 10_000, crossbar._slice_samples(512, 512))
+    assert len(starts) == 10_000  # one sample per slice
 
 
 def test_inputs_saturate_at_read_scale(device, table):

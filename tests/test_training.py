@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from onetr import (DomainError, Model, WcutSpec, accuracy, clip_model,
-                   cutoff_table, evaluate, homogeneous_schedule,
-                   iterative_train, linear_fraction, load_checkpoint,
+                   crossbar_forward, crossbar_logits, cutoff_table, evaluate,
+                   homogeneous_schedule, iterative_train, linear_fraction,
+                   load_checkpoint, mvm_energy_batch, mvm_nonideal_batch,
                    network_energy, program_model, retrain_config,
                    save_checkpoint, schedule_from_dict, schedule_to_dict,
                    search_heterogeneous_vg, step_down_schedule)
@@ -178,6 +179,33 @@ def test_network_energy_totals(baseline_model, het_schedule, blobs, device):
     assert energy["total"] == pytest.approx(sum(energy["per_layer"]))
     with pytest.raises(DomainError):
         network_energy(tilesets, biases[:1], blobs.x_test[:50], t)
+
+
+def test_network_energy_is_one_forward_pass(baseline_model, het_schedule,
+                                            blobs, device):
+    t, mem = device
+    tilesets = program_model(baseline_model, het_schedule, mem,
+                             blobs.x_train[:256])
+    biases = [l.b for l in baseline_model.dense_layers()]
+    x, y = blobs.x_test[:60], blobs.y_test[:60]
+    energy = network_energy(tilesets, biases, x, t)
+    logits = crossbar_logits(tilesets, biases, x, t)
+    assert np.array_equal(energy["logits"], logits)
+    assert crossbar_forward(tilesets, biases, x, t)[1] is None
+
+    # Each layer is billed for the activations the chain hands it.
+    acts, billed = x, []
+    for i, (ts, b) in enumerate(zip(tilesets, biases)):
+        billed.append(float(np.sum(mvm_energy_batch(ts, acts, t))))
+        acts = mvm_nonideal_batch(ts, acts, t).outputs + b
+        acts = np.maximum(acts, 0.0) if i < len(tilesets) - 1 else acts
+    assert energy["per_layer"] == billed
+    assert np.array_equal(acts, logits)
+
+    # The accuracy report reads off these logits is evaluate's.
+    acc = float(np.mean(np.argmax(energy["logits"], axis=1) == y))
+    assert acc == evaluate(baseline_model, x, y, mode="crossbar", t=t,
+                           tilesets=tilesets)
 
 
 def test_checkpoint_round_trip(tmp_path, baseline_model, het_schedule):
