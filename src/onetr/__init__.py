@@ -32,10 +32,10 @@ from .mapping import (DifferentialPair, LayerScale, WcutSpec, clip_weights,
 from .network import (Adam, Dense, Model, ReLU, TrainConfig, accuracy,
                       retrain_config, softmax_cross_entropy, train)
 from .training import (Checkpoint, ScheduleEntry, VgSchedule, clip_model,
-                       crossbar_forward, crossbar_logits, evaluate,
-                       homogeneous_schedule, iterative_train, linear_fraction,
-                       load_checkpoint, network_energy, program_model,
-                       save_checkpoint, schedule_from_dict, schedule_to_dict,
+                       crossbar_forward, evaluate, homogeneous_schedule,
+                       iterative_train, linear_fraction, load_checkpoint,
+                       network_energy, program_model, save_checkpoint,
+                       schedule_from_dict, schedule_to_dict,
                        search_heterogeneous_vg, step_down_schedule)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,8 +1,10 @@
 """Tiled differential crossbar execution of dense layers.
 
-A logical weight matrix is split row-major into tiles (64x64 by default);
-each logical column is a pair of physical columns whose currents are
-subtracted after sensing.  Activations enter as read voltages scaled by the
+A programmed layer is stored as its two whole conductance matrices; each
+logical column is a pair of physical columns whose currents are subtracted
+after sensing.  Tiles (64x64 by default, row-major) are geometry only: no
+sum depends on them, and they set the gate charge, paid once per active row
+in each column of tiles.  Activations enter as read voltages scaled by the
 layer's activation ceiling ``a_max``, and column currents are scaled back to
 weight-times-activation units through the layer readout factor.
 
@@ -44,10 +46,12 @@ class Tile:
 
 @dataclass(frozen=True)
 class CrossbarTileSet:
-    """A dense layer programmed onto differential crossbar tiles."""
+    """A dense layer as whole differential conductance matrices, with the
+    tile geometry ``tile_rows``/``tile_cols``; ``tiles`` views them."""
 
     shape: tuple  # logical (rows, cols)
-    tiles: tuple
+    g_plus: np.ndarray  # (rows, cols) S
+    g_minus: np.ndarray  # (rows, cols) S
     v_g: float
     w_cut: float
     scale: LayerScale
@@ -56,6 +60,17 @@ class CrossbarTileSet:
     tile_cols: int
     clipped_count: int
     clipped_fraction: float
+
+    @property
+    def tiles(self) -> tuple:
+        """Row-major ``Tile`` views of the conductance matrices."""
+        rows, cols = self.shape
+        return tuple(
+            Tile(r0, c0,
+                 self.g_plus[r0:r0 + self.tile_rows, c0:c0 + self.tile_cols],
+                 self.g_minus[r0:r0 + self.tile_rows, c0:c0 + self.tile_cols])
+            for r0 in range(0, rows, self.tile_rows)
+            for c0 in range(0, cols, self.tile_cols))
 
 
 @dataclass(frozen=True)
@@ -88,32 +103,10 @@ def program(weights, entry, scale: LayerScale,
         raise DomainError("w_cut must lie in [0, w_r] for the given scale")
     clipped_count = int(np.count_nonzero(np.abs(w) > w_cut))
     pair = weight_to_conductance(clip_weights(w, w_cut), scale)
-    rows, cols = w.shape
-    tiles = []
-    for r0 in range(0, rows, tile_rows):
-        r1 = min(r0 + tile_rows, rows)
-        for c0 in range(0, cols, tile_cols):
-            c1 = min(c0 + tile_cols, cols)
-            tiles.append(Tile(r0, c0,
-                              pair.g_plus[r0:r1, c0:c1].copy(),
-                              pair.g_minus[r0:r1, c0:c1].copy()))
-    return CrossbarTileSet((rows, cols), tuple(tiles), float(entry.v_g),
-                           w_cut, scale, float(a_max), tile_rows, tile_cols,
+    return CrossbarTileSet(w.shape, pair.g_plus, pair.g_minus,
+                           float(entry.v_g), w_cut, scale, float(a_max),
+                           tile_rows, tile_cols,
                            clipped_count, clipped_count / w.size)
-
-
-def _assemble(ts: CrossbarTileSet):
-    """Global conductance matrices; summation always runs over these, so
-    results cannot depend on the tile split."""
-    rows, cols = ts.shape
-    g_plus = np.empty((rows, cols))
-    g_minus = np.empty((rows, cols))
-    for tile in ts.tiles:
-        r1 = tile.row0 + tile.g_plus.shape[0]
-        c1 = tile.col0 + tile.g_plus.shape[1]
-        g_plus[tile.row0:r1, tile.col0:c1] = tile.g_plus
-        g_minus[tile.row0:r1, tile.col0:c1] = tile.g_minus
-    return g_plus, g_minus
 
 
 def _read_voltages(ts: CrossbarTileSet, activations, v_supply: float,
@@ -164,9 +157,8 @@ def mvm_ideal(ts: CrossbarTileSet, activations, v_supply: float = 0.5) -> MvmRes
     the activations up to float rounding.
     """
     v = _read_voltages(ts, activations, v_supply, 1)
-    g_plus, g_minus = _assemble(ts)
-    i_plus = v @ g_plus
-    i_minus = v @ g_minus
+    i_plus = v @ ts.g_plus
+    i_minus = v @ ts.g_minus
     outputs = _rescale(ts, i_plus, i_minus, 1.0, v_supply)
     return MvmResult(outputs, np.stack([i_plus, i_minus], axis=1))
 
@@ -183,7 +175,7 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     """
     if pulse_width is not None and (pulse_width <= 0 or c_gate < 0):
         raise DomainError("pulse_width must be > 0 and c_gate >= 0")
-    g_all = np.concatenate(_assemble(ts), axis=1)
+    g_all = np.concatenate((ts.g_plus, ts.g_minus), axis=1)
     rows, cols = ts.shape
     gain = readout_gain(ts, t, mode, v_supply)
     step = _slice_samples(rows, cols)
@@ -203,18 +195,14 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
 
 
 def _energy_from_currents(ts, v, current, pulse_width, c_gate):
-    """Per-sample energy as the sum of per-tile contributions."""
+    """Per-sample resistive read energy plus one gate charge per active row
+    in each column of tiles."""
     cols = ts.shape[1]
     power = v[:, :, None] * current  # (batch, rows, 2*cols)
-    energy = np.zeros(v.shape[0])
-    for tile in ts.tiles:
-        r1 = tile.row0 + tile.g_plus.shape[0]
-        c1 = tile.col0 + tile.g_plus.shape[1]
-        resistive = power[:, tile.row0:r1, tile.col0:c1].sum(axis=(1, 2))
-        resistive += power[:, tile.row0:r1, cols + tile.col0:cols + c1].sum(axis=(1, 2))
-        rows_active = (v[:, tile.row0:r1] > 0.0).sum(axis=1)
-        energy += resistive * pulse_width + rows_active * c_gate * ts.v_g ** 2
-    return energy
+    resistive = (power[:, :, :cols].sum(axis=(1, 2))
+                 + power[:, :, cols:].sum(axis=(1, 2)))
+    gates = (v > 0.0).sum(axis=1) * -(-cols // ts.tile_cols)
+    return resistive * pulse_width + gates * c_gate * ts.v_g ** 2
 
 
 def mvm_nonideal(ts: CrossbarTileSet, activations, t: TransistorParams,
@@ -223,7 +211,7 @@ def mvm_nonideal(ts: CrossbarTileSet, activations, t: TransistorParams,
                  c_gate: float = DEFAULT_C_GATE) -> MvmResult:
     """Matrix-vector product through the device solver.
 
-    Column currents are accumulated over the assembled matrix in global row
+    Column currents are accumulated over the whole layer in global row
     order, so results are bit-identical for any tile split.  Passing
     ``pulse_width`` also fills the per-operation energy.
     """
@@ -250,8 +238,8 @@ def mvm_energy(ts: CrossbarTileSet, activations, t: TransistorParams,
     """Energy of one matrix-vector operation, in joules.
 
     Resistive read energy ``v_in * current * pulse_width`` summed over every
-    cell of every tile, plus a gate charging term ``c_gate * v_g**2`` per
-    active row per tile.  All-zero activations with a zero gate capacitance
+    cell, plus a gate charging term ``c_gate * v_g**2`` per active row in
+    each column of tiles.  All-zero activations with a zero gate capacitance
     cost exactly zero.
     """
     return mvm_nonideal(ts, activations, t, mode, v_supply, pulse_width,
@@ -295,16 +283,25 @@ def tileset_from_dict(raw: dict) -> CrossbarTileSet:
         raise DomainError("unsupported crossbar dump version "
                           f"{raw.get('format_version')!r}")
     try:
-        scale = LayerScale(**raw["scale"])
-        tiles = tuple(Tile(t["row0"], t["col0"],
-                           np.asarray(t["g_plus"], dtype=float),
-                           np.asarray(t["g_minus"], dtype=float))
-                      for t in raw["tiles"])
-        return CrossbarTileSet(tuple(raw["shape"]), tiles, raw["v_g"],
-                               raw["w_cut"], scale, raw["a_max"],
-                               raw["tile_rows"], raw["tile_cols"],
-                               raw["clipped_count"], raw["clipped_fraction"])
-    except (KeyError, TypeError) as exc:
+        shape = tuple(raw["shape"])
+        ts = CrossbarTileSet(shape, np.empty(shape), np.empty(shape),
+                             raw["v_g"], raw["w_cut"],
+                             LayerScale(**raw["scale"]), raw["a_max"],
+                             raw["tile_rows"], raw["tile_cols"],
+                             raw["clipped_count"], raw["clipped_fraction"])
+        grid, tiles = ts.tiles, raw["tiles"]
+        if len(tiles) != len(grid):  # every cell is written exactly once
+            raise ValueError(f"{len(tiles)} tiles for a {len(grid)}-tile grid")
+        for view, tile in zip(grid, tiles):
+            g = [np.asarray(tile[key], dtype=float)
+                 for key in ("g_plus", "g_minus")]
+            got = ((tile["row0"], tile["col0"]), g[0].shape, g[1].shape)
+            want = ((view.row0, view.col0),) + (view.g_plus.shape,) * 2
+            if got != want:
+                raise ValueError(f"tile (origin, shapes) {got}, grid {want}")
+            view.g_plus[...], view.g_minus[...] = g
+        return ts
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed crossbar dump: {exc}") from exc
 
 

@@ -22,8 +22,8 @@ from typing import Optional
 
 import numpy as np
 
-from .crossbar import (DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH, DEFAULT_TILE_COLS,
-                       DEFAULT_TILE_ROWS, mvm_nonideal_batch, program)
+from .crossbar import (DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH,
+                       mvm_nonideal_batch, program)
 from .device import ANALYTICAL, DeviceMode, MemristorParams, TransistorParams
 from .errors import DomainError, atomic_write, read_json_object
 from .mapping import layer_scale, scale_from_range, wcut_from_vg
@@ -233,14 +233,12 @@ def _dense_inputs(model: Model, x):
 
 
 def program_model(model: Model, schedule: VgSchedule, mem: MemristorParams,
-                  calib_x, percentile: float = DEFAULT_PERCENTILE,
-                  tile_rows: int = DEFAULT_TILE_ROWS,
-                  tile_cols: int = DEFAULT_TILE_COLS):
+                  calib_x):
     """Programs every dense layer onto crossbar tiles.
 
-    Read-voltage scaling uses the given percentile of each layer's input
-    activations over the calibration batch, so stray large activations do
-    not crush the useful voltage range.
+    Read-voltage scaling uses the ``DEFAULT_PERCENTILE`` percentile of each
+    layer's input activations over the calibration batch, so stray large
+    activations do not crush the useful voltage range.
     """
     dense = _check_alignment(model, schedule)
     calib_x = np.asarray(calib_x, dtype=float)
@@ -249,14 +247,13 @@ def program_model(model: Model, schedule: VgSchedule, mem: MemristorParams,
     tilesets = []
     for layer, e, acts in zip(dense, schedule.entries,
                               _dense_inputs(model, calib_x)):
-        a_max = float(np.percentile(acts, percentile))
+        a_max = float(np.percentile(acts, DEFAULT_PERCENTILE))
         if a_max <= 0 or not np.isfinite(a_max):
             raise DomainError(
                 f"layer {e.layer}: calibration activations give "
                 f"a_max={a_max}")
         scale = scale_from_range(e.w_r, mem)
-        tilesets.append(program(layer.w, e, scale, a_max=a_max,
-                                tile_rows=tile_rows, tile_cols=tile_cols))
+        tilesets.append(program(layer.w, e, scale, a_max=a_max))
     return tilesets
 
 
@@ -285,12 +282,6 @@ def crossbar_forward(tilesets, biases, x, t: TransistorParams,
     return acts, per_layer
 
 
-def crossbar_logits(tilesets, biases, x, t: TransistorParams,
-                    mode: DeviceMode = ANALYTICAL, v_supply: float = 0.5):
-    """Logits of ``crossbar_forward`` without energy accounting."""
-    return crossbar_forward(tilesets, biases, x, t, mode, v_supply)[0]
-
-
 def evaluate(model: Model, x, y, mode: str = "software",
              schedule: Optional[VgSchedule] = None,
              t: Optional[TransistorParams] = None,
@@ -316,8 +307,8 @@ def evaluate(model: Model, x, y, mode: str = "software",
             raise DomainError("crossbar evaluation needs a calibration batch")
         tilesets = program_model(model, schedule, mem, calib_x)
     biases = [l.b for l in model.dense_layers()]
-    logits = crossbar_logits(tilesets, biases, x, t, mode=device_mode,
-                             v_supply=v_supply)
+    logits = crossbar_forward(tilesets, biases, x, t, mode=device_mode,
+                              v_supply=v_supply)[0]
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 

@@ -1,6 +1,7 @@
 """Tiled differential crossbar engine: programming, MVM, energy, fidelity."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -83,17 +84,25 @@ def test_outputs_identical_for_any_tile_split(device, table):
 
 
 def test_energy_consistent_across_tile_splits(device, table):
+    # Resistive energy ignores the split; gate charge is paid once per
+    # active row in each column of tiles.
     t, _ = device
     rng = np.random.default_rng(2)
     w = rng.normal(size=(33, 9))
     x = rng.uniform(0, 1.0, 33)
-    energies = []
+    x[[4, 17]] = 0.0
+    active = np.count_nonzero(x > 0.0)
+    resistive = []
     for tile_rows, tile_cols in [(64, 64), (8, 3), (33, 9), (5, 9)]:
         ts, _ = _tileset(w, device, table,
                          tile_rows=tile_rows, tile_cols=tile_cols)
-        energies.append(mvm_energy(ts, x, t))
-    assert energies[0] > 0.0
-    assert np.allclose(energies, energies[0], rtol=1e-12)
+        resistive.append(mvm_energy(ts, x, t, c_gate=0.0))
+        gates = (active * math.ceil(9 / tile_cols)
+                 * crossbar.DEFAULT_C_GATE * ts.v_g ** 2)
+        assert mvm_energy(ts, x, t) - resistive[-1] == pytest.approx(
+            gates, rel=1e-12, abs=0.0)
+    assert resistive[0] > 0.0
+    assert resistive == [resistive[0]] * len(resistive)
 
 
 def test_ideal_path_reproduces_exact_product(device, table):
@@ -320,3 +329,16 @@ def test_tileset_version_check(tmp_path, device, table):
         path.write_text(text)
         with pytest.raises(DomainError):
             load_tileset(path)
+
+    # A dump must write every cell of its tile grid exactly once.
+    rng = np.random.default_rng(10)
+    ts, _ = _tileset(rng.normal(size=(9, 5)), device, table,
+                     tile_rows=4, tile_cols=3)
+    good = tileset_to_dict(ts)
+    missing, moved, reshaped = (json.loads(json.dumps(good)) for _ in range(3))
+    missing["tiles"].pop()
+    moved["tiles"][2]["row0"] += 1
+    reshaped["tiles"][0]["g_minus"] = reshaped["tiles"][0]["g_minus"][:-1]
+    for raw in (missing, moved, reshaped):
+        with pytest.raises(DomainError, match="malformed crossbar dump"):
+            tileset_from_dict(raw)

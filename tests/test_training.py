@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from onetr import (DomainError, Model, WcutSpec, accuracy, clip_model,
-                   crossbar_forward, crossbar_logits, cutoff_table, evaluate,
+                   crossbar_forward, cutoff_table, evaluate,
                    homogeneous_schedule, iterative_train, linear_fraction,
                    load_checkpoint, mvm_energy_batch, mvm_nonideal_batch,
                    network_energy, program_model, retrain_config,
@@ -176,7 +176,7 @@ def test_network_energy_totals(baseline_model, het_schedule, blobs, device):
     energy = network_energy(tilesets, biases, blobs.x_test[:50], t)
     assert len(energy["per_layer"]) == len(tilesets)
     assert all(e > 0.0 for e in energy["per_layer"])
-    assert energy["total"] == pytest.approx(sum(energy["per_layer"]))
+    assert energy["total"] == sum(energy["per_layer"])
     with pytest.raises(DomainError):
         network_energy(tilesets, biases[:1], blobs.x_test[:50], t)
 
@@ -189,7 +189,7 @@ def test_network_energy_is_one_forward_pass(baseline_model, het_schedule,
     biases = [l.b for l in baseline_model.dense_layers()]
     x, y = blobs.x_test[:60], blobs.y_test[:60]
     energy = network_energy(tilesets, biases, x, t)
-    logits = crossbar_logits(tilesets, biases, x, t)
+    logits = crossbar_forward(tilesets, biases, x, t)[0]
     assert np.array_equal(energy["logits"], logits)
     assert crossbar_forward(tilesets, biases, x, t)[1] is None
 
