@@ -36,7 +36,7 @@ _MVM_BLOCK_CELLS = 1 << 16  # cells per batch slice of the crossbar solve
 TILESET_FILE_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality
 class Tile:
     row0: int
     col0: int
@@ -44,7 +44,7 @@ class Tile:
     g_minus: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrossbarTileSet:
     """A dense layer as whole differential conductance matrices, with the
     tile geometry ``tile_rows``/``tile_cols``; ``tiles`` views them."""
@@ -73,7 +73,7 @@ class CrossbarTileSet:
             for c0 in range(0, cols, self.tile_cols))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MvmResult:  # batched fields lead with a batch axis
     outputs: np.ndarray  # ([batch,] cols) weight * activation units
     column_currents: np.ndarray  # ([batch,] cols, 2): plus / minus currents, A
@@ -278,17 +278,28 @@ def tileset_to_dict(ts: CrossbarTileSet) -> dict:
     }
 
 
+def _real(value) -> float:  # a finite JSON number, not a bool
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not np.isfinite(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def tileset_from_dict(raw: dict) -> CrossbarTileSet:
     if raw.get("format_version") != TILESET_FILE_VERSION:
         raise DomainError("unsupported crossbar dump version "
                           f"{raw.get('format_version')!r}")
     try:
         shape = tuple(raw["shape"])
+        scale = LayerScale(**{k: _real(v) for k, v in raw["scale"].items()})
         ts = CrossbarTileSet(shape, np.empty(shape), np.empty(shape),
-                             raw["v_g"], raw["w_cut"],
-                             LayerScale(**raw["scale"]), raw["a_max"],
-                             raw["tile_rows"], raw["tile_cols"],
-                             raw["clipped_count"], raw["clipped_fraction"])
+                             _real(raw["v_g"]), _real(raw["w_cut"]), scale,
+                             _real(raw["a_max"]), raw["tile_rows"],
+                             raw["tile_cols"], raw["clipped_count"],
+                             raw["clipped_fraction"])
+        if (ts.a_max <= 0.0 or ts.v_g < 0.0
+                or not 0.0 <= ts.w_cut <= ts.scale.w_r * (1.0 + 1e-9)):
+            raise ValueError("needs a_max > 0, v_g >= 0, 0 <= w_cut <= w_r")
         grid, tiles = ts.tiles, raw["tiles"]
         if len(tiles) != len(grid):  # every cell is written exactly once
             raise ValueError(f"{len(tiles)} tiles for a {len(grid)}-tile grid")
@@ -301,7 +312,7 @@ def tileset_from_dict(raw: dict) -> CrossbarTileSet:
                 raise ValueError(f"tile (origin, shapes) {got}, grid {want}")
             view.g_plus[...], view.g_minus[...] = g
         return ts
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed crossbar dump: {exc}") from exc
 
 

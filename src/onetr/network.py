@@ -48,6 +48,7 @@ class Dense:
         self.b = np.asarray(b, dtype=float)
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise DomainError("inconsistent dense layer shapes")
+        self.dw, self.db = np.zeros_like(self.w), np.zeros_like(self.b)
         self._x = None
 
     @classmethod
@@ -60,8 +61,8 @@ class Dense:
         return x @ self.w + self.b
 
     def backward(self, grad_out):
-        self.dw = self._x.T @ grad_out
-        self.db = grad_out.sum(axis=0)
+        np.matmul(self._x.T, grad_out, out=self.dw)
+        grad_out.sum(axis=0, out=self.db)
         return grad_out @ self.w.T
 
     def params(self):
@@ -89,22 +90,33 @@ class ReLU:
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy loss and its gradient w.r.t. the logits."""
     logits = np.asarray(logits, dtype=float)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    picked = probs[np.arange(n), labels]
-    loss = float(-np.log(np.maximum(picked, 1e-300)).mean())
-    grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return loss, grad / n
+    probs = logits - logits.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=1, keepdims=True)
+    n, rows = logits.shape[0], np.arange(logits.shape[0])
+    loss = -(np.log(np.maximum(probs[rows, labels], 1e-300)).sum() / n)
+    probs[rows, labels] -= 1.0
+    probs /= n
+    return float(loss), probs
 
 
 class Model:
-    """Dense / ReLU stack ending in raw logits."""
+    """Dense / ReLU stack ending in raw logits; each dense ``w``/``b``
+    (``dw``/``db``) views one ``flat_params`` (``flat_grads``) buffer."""
 
     def __init__(self, layers):
         self.layers = list(layers)
+        self.flat_params = np.concatenate([p.ravel() for p in self.params()])
+        self.flat_grads = np.zeros_like(self.flat_params)
+        start = 0
+        for layer in self.dense_layers():
+            for name in ("w", "b"):
+                shape = getattr(layer, name).shape
+                stop = start + int(np.prod(shape))
+                setattr(layer, name, self.flat_params[start:stop].reshape(shape))
+                setattr(layer, "d" + name,
+                        self.flat_grads[start:stop].reshape(shape))
+                start = stop
 
     @classmethod
     def new(cls, dims, seed: int = 0) -> "Model":
@@ -148,13 +160,9 @@ class Model:
         return [g for layer in self.layers for g in layer.grads()]
 
     def copy(self) -> "Model":
-        layers = []
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                layers.append(Dense(layer.w.copy(), layer.b.copy()))
-            else:
-                layers.append(ReLU())
-        return Model(layers)
+        # Model() packs fresh buffers, so the layers need not copy.
+        return Model([Dense(l.w, l.b) if isinstance(l, Dense) else ReLU()
+                      for l in self.layers])
 
     def to_dict(self) -> dict:
         return {
@@ -226,12 +234,13 @@ def train(model: Model, x, y, config: TrainConfig, rng=None,
     n = x.shape[0]
     for _ in range(n_epochs):
         order = rng.permutation(n)
+        xs, ys = x[order], y[order]  # one gather; batches are row slices
         for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            loss = model.loss_and_gradients(x[idx], y[idx])
+            stop = start + config.batch_size
+            loss = model.loss_and_gradients(xs[start:stop], ys[start:stop])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"loss became {loss}")
-            optimizer.step(model.params(), model.grads())
+            optimizer.step([model.flat_params], [model.flat_grads])
     return model
 
 

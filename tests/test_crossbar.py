@@ -342,3 +342,27 @@ def test_tileset_version_check(tmp_path, device, table):
     for raw in (missing, moved, reshaped):
         with pytest.raises(DomainError, match="malformed crossbar dump"):
             tileset_from_dict(raw)
+
+    # Scalars must be finite numbers within the bounds program() enforces.
+    for key, value in (("a_max", -1.0), ("a_max", "1"), ("w_cut", "x"),
+                       ("v_g", -0.5), ("a_max", True), ("w_cut", -0.1),
+                       ("w_cut", 2.0 * good["scale"]["w_r"]), ("scale", [1])):
+        raw = json.loads(json.dumps(good))
+        raw[key] = value
+        with pytest.raises(DomainError, match="malformed crossbar dump"):
+            tileset_from_dict(raw)
+    raw = json.loads(json.dumps(good))
+    raw["scale"]["g_on"] = float("nan")
+    with pytest.raises(DomainError, match="malformed crossbar dump"):
+        tileset_from_dict(raw)
+
+
+def test_programmed_layers_compare_by_identity(device, table):
+    w = np.random.default_rng(11).normal(size=(2, 2))
+    a, _ = _tileset(w, device, table)
+    b, _ = _tileset(w, device, table)
+    assert (a == b) is False
+    assert (a == a) is True
+    assert (a.tiles[0] == b.tiles[0]) is False
+    x = np.array([0.3, 0.7])
+    assert (mvm_ideal(a, x) == mvm_ideal(a, x)) is False

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from onetr import (Adam, Dense, DomainError, Model, ReLU, TrainConfig,
-                   TrainingDivergedError, accuracy, retrain_config,
+                   TrainingDivergedError, accuracy, clip_model,
+                   load_checkpoint, retrain_config, save_checkpoint,
                    softmax_cross_entropy, train)
+from onetr.training import ScheduleEntry, VgSchedule
 
 
 def test_train_config_validation():
@@ -151,3 +153,98 @@ def test_accuracy_on_known_labels():
 def test_baseline_reaches_target_accuracy(baseline_model, blobs):
     acc = accuracy(baseline_model, blobs.x_test, blobs.y_test)
     assert acc >= 0.95
+
+
+def _reference_softmax(logits, labels):
+    # The copying loss of the per-parameter training loop.
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    probs = exp / exp.sum(axis=1, keepdims=True)
+    n = logits.shape[0]
+    loss = float(-np.log(np.maximum(probs[np.arange(n), labels],
+                                    1e-300)).mean())
+    grad = probs.copy()
+    grad[np.arange(n), labels] -= 1.0
+    return loss, grad / n
+
+
+def _reference_train(layers, x, y, config, rng, epochs):
+    """Per-batch gather, per-parameter Adam over plain [w, b] arrays."""
+    m = [np.zeros_like(p) for layer in layers for p in layer]
+    v = [np.zeros_like(p) for p in m]
+    b1, b2, eps, lr, t = 0.9, 0.999, 1e-8, config.learning_rate, 0
+    for _ in range(epochs):
+        order = rng.permutation(x.shape[0])
+        for start in range(0, x.shape[0], config.batch_size):
+            idx = order[start:start + config.batch_size]
+            acts = [x[idx]]
+            for i, (w, b) in enumerate(layers):
+                out = acts[-1] @ w + b
+                if i < len(layers) - 1:
+                    out = out * (out > 0.0)
+                acts.append(out)
+            _, grad = _reference_softmax(acts[-1], y[idx])
+            grads = []
+            for i in reversed(range(len(layers))):
+                w = layers[i][0]
+                grads[:0] = [acts[i].T @ grad, grad.sum(axis=0)]
+                grad = grad @ w.T
+                if i > 0:
+                    grad = grad * (acts[i] > 0.0)
+            t += 1
+            params = [p for layer in layers for p in layer]
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi *= b1
+                mi += (1 - b1) * g
+                vi *= b2
+                vi += (1 - b2) * g * g
+                m_hat = mi / (1 - b1 ** t)
+                v_hat = vi / (1 - b2 ** t)
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def test_training_matches_per_parameter_reference(blobs):
+    # The flat-buffer step must reproduce the per-parameter loop bit for
+    # bit, over two rounds sharing one generator (as clip-and-retrain does)
+    # and with a batch size that leaves a partial last batch.
+    x, y = blobs.x_train[:200], blobs.y_train[:200]
+    dims = [16, 8, 5, 3]
+    assert (x.shape[1], blobs.n_classes) == (dims[0], dims[-1])
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=7, seed=4)
+    model = Model.new(dims, seed=4)
+    layers = [(l.w.copy(), l.b.copy()) for l in model.dense_layers()]
+    rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(2):
+        train(model, x, y, cfg, rng=rng, epochs=2)
+        _reference_train(layers, x, y, cfg, ref_rng, epochs=2)
+    for layer, (w, b) in zip(model.dense_layers(), layers):
+        assert np.array_equal(layer.w, w)
+        assert np.array_equal(layer.b, b)
+
+
+def test_flat_buffers_back_every_layer(tmp_path):
+    model = Model.new([6, 5, 4, 3], seed=2)
+    save_checkpoint(tmp_path / "ckpt.json", model)
+    for m in (model, model.copy(), Model.from_dict(model.to_dict()),
+              load_checkpoint(tmp_path / "ckpt.json").model):
+        assert m.flat_params.shape == m.flat_grads.shape == (
+            sum(p.size for p in m.params()),)
+        for layer in m.dense_layers():
+            for p, buf in ((layer.w, m.flat_params), (layer.b, m.flat_params),
+                           (layer.dw, m.flat_grads), (layer.db, m.flat_grads)):
+                assert np.shares_memory(p, buf)
+        assert np.array_equal(
+            m.flat_params, np.concatenate([p.ravel() for p in m.params()]))
+        assert not np.shares_memory(m.flat_params, model.copy().flat_params)
+    # Clipping in place must reach the buffer the optimizer updates.
+    entries = tuple(ScheduleEntry(i, 0.8, 0.05, 1.0, None) for i in range(3))
+    clip_model(model, VgSchedule("homogeneous", (0.8,), entries))
+    assert np.abs(model.flat_params[:6 * 5]).max() == 0.05
+    assert np.array_equal(
+        model.flat_params, np.concatenate([p.ravel() for p in model.params()]))
+    # Gradients land in flat_grads, in params() order.
+    x = np.random.default_rng(0).normal(size=(4, 6))
+    model.loss_and_gradients(x, np.array([0, 1, 2, 0]))
+    assert np.array_equal(
+        model.flat_grads, np.concatenate([g.ravel() for g in model.grads()]))
+    assert np.any(model.flat_grads != 0.0)
