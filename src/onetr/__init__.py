@@ -12,18 +12,17 @@ __version__ = "0.1.0"
 from .characterize import (CutoffTable, GeffCurve, PowerReport,
                            ToleranceResult, cutoff_table, default_vin_grid,
                            find_gm_cutoff, linear_vin_range,
-                           power_monte_carlo, read_cutoff_csv, sweep_geff,
-                           tolerance_metric, write_cutoff_csv)
+                           power_monte_carlo, sweep_geff, tolerance_metric,
+                           write_cutoff_csv)
 from .crossbar import (CrossbarTileSet, MvmResult, load_tileset, mvm_energy,
                        mvm_energy_batch, mvm_ideal, mvm_nonideal,
                        mvm_nonideal_batch, program, readout_gain,
                        save_tileset)
 from .data import Dataset, make_blobs, read_dataset_csv, write_dataset_csv
 from .device import (ANALYTICAL, IDEAL_SWITCH, DeviceMode, MemristorParams,
-                     SynapseSolution, TransistorParams, default_device,
-                     effective_conductance, leakage_stressed_device,
-                     load_device_file, save_device_file, solve_synapse,
-                     solve_synapse_grid, transistor_current)
+                     TransistorParams, default_device, leakage_stressed_device,
+                     load_device_file, save_device_file, solve_synapse_grid,
+                     transistor_current)
 from .errors import (CutoffLookupError, DegenerateLayerError, DomainError,
                      ToolkitError, TrainingDivergedError)
 from .mapping import (DifferentialPair, LayerScale, WcutSpec, clip_weights,

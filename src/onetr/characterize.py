@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -67,8 +66,6 @@ class CutoffTable:
     """
 
     entries: tuple
-    tm_threshold: Optional[float] = None
-    v_supply: Optional[float] = None
 
     def lookup(self, v_g: float, tol: float = 1e-9):
         for vg_i, cutoff in self.entries:
@@ -95,21 +92,9 @@ class PowerReport:
 
 def sweep_geff(g_m: float, v_g: float, t: TransistorParams,
                v_supply: float = DEFAULT_V_SUPPLY,
-               mode: DeviceMode = ANALYTICAL,
-               v_in_grid=None) -> GeffCurve:
-    """Sweep g_eff over a read-voltage grid (default 64 uniform points)."""
-    if v_in_grid is None:
-        grid = default_vin_grid(v_supply)
-    else:
-        grid = np.asarray(v_in_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 2:
-            raise DomainError("v_in_grid must be 1-D with at least two points")
-        if not np.all(np.isfinite(grid)):
-            raise DomainError("v_in_grid must be finite")
-        if np.any(grid <= 0.0) or np.any(grid > v_supply + 1e-12):
-            raise DomainError("v_in_grid must lie within (0, v_supply]")
-        if np.any(np.diff(grid) <= 0.0):
-            raise DomainError("v_in_grid must be strictly increasing")
+               mode: DeviceMode = ANALYTICAL) -> GeffCurve:
+    """Sweep g_eff over the default read-voltage grid."""
+    grid = default_vin_grid(v_supply)
     _, _, g_eff = solve_synapse_grid(g_m, grid, v_g, t, mode)
     return GeffCurve(float(g_m), float(v_g), grid, g_eff)
 
@@ -133,8 +118,7 @@ def _check_threshold(tm_threshold: float) -> None:
 def linear_vin_range(g_m: float, v_g: float, t: TransistorParams,
                      tm_threshold: float = DEFAULT_TM_THRESHOLD,
                      v_supply: float = DEFAULT_V_SUPPLY,
-                     mode: DeviceMode = ANALYTICAL,
-                     n_points: int = DEFAULT_VIN_POINTS):
+                     mode: DeviceMode = ANALYTICAL):
     """Widest contiguous read-voltage window with windowed tm <= threshold.
 
     Returns ``(v_lo, v_hi)`` grid values, or ``None`` when no window of at
@@ -143,9 +127,8 @@ def linear_vin_range(g_m: float, v_g: float, t: TransistorParams,
     extending at the first violation.
     """
     _check_threshold(tm_threshold)
-    grid = default_vin_grid(v_supply, n_points)
-    curve = sweep_geff(g_m, v_g, t, v_supply, mode, grid)
-    g = curve.g_eff
+    curve = sweep_geff(g_m, v_g, t, v_supply, mode)
+    grid, g = curve.v_in, curve.g_eff
     n = g.size
     best = None  # (start, stop) inclusive
     for i in range(n - 1):
@@ -174,18 +157,16 @@ def _tm_rows(g_eff_rows: np.ndarray) -> np.ndarray:
 def find_gm_cutoff(v_g: float, t: TransistorParams, mem: MemristorParams,
                    tm_threshold: float = DEFAULT_TM_THRESHOLD,
                    v_supply: float = DEFAULT_V_SUPPLY,
-                   mode: DeviceMode = ANALYTICAL,
-                   gm_points: int = DEFAULT_GM_POINTS,
-                   vin_points: int = DEFAULT_VIN_POINTS):
+                   mode: DeviceMode = ANALYTICAL):
     """Largest grid conductance in [g_off, g_on] with full-range tm <= threshold.
 
-    The search grid is ``gm_points`` uniform values including both range ends,
-    so a fully linear device returns exactly ``g_on``.  Returns ``None`` when
-    no grid point passes.
+    The search grid is ``DEFAULT_GM_POINTS`` uniform values including both
+    range ends, so a fully linear device returns exactly ``g_on``.  Returns
+    ``None`` when no grid point passes.
     """
     _check_threshold(tm_threshold)
-    gms = np.linspace(mem.g_off, mem.g_on, gm_points)
-    grid = default_vin_grid(v_supply, vin_points)
+    gms = np.linspace(mem.g_off, mem.g_on, DEFAULT_GM_POINTS)
+    grid = default_vin_grid(v_supply)
     _, _, g_eff = solve_synapse_grid(gms[:, None], grid[None, :], v_g, t, mode)
     passing = _tm_rows(g_eff) <= tm_threshold
     if not passing.any():
@@ -205,7 +186,7 @@ def cutoff_table(v_g_values, t: TransistorParams, mem: MemristorParams,
         (vg, find_gm_cutoff(vg, t, mem, tm_threshold, v_supply, mode))
         for vg in v_g_values
     )
-    return CutoffTable(entries, tm_threshold, v_supply)
+    return CutoffTable(entries)
 
 
 def write_cutoff_csv(table: CutoffTable, path) -> None:
@@ -216,22 +197,6 @@ def write_cutoff_csv(table: CutoffTable, path) -> None:
         for vg, cutoff in table.entries:
             writer.writerow([format(vg, ".9g"),
                              "" if cutoff is None else format(cutoff, ".9g")])
-
-
-def read_cutoff_csv(path) -> CutoffTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["v_g", "g_m_cutoff"]:
-            raise DomainError(f"{path}: expected a 'v_g,g_m_cutoff' header")
-        entries = []
-        for row in reader:
-            if not row:
-                continue
-            vg = float(row[0])
-            raw = row[1].strip() if len(row) > 1 else ""
-            entries.append((vg, float(raw) if raw else None))
-    return CutoffTable(tuple(entries))
 
 
 def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,

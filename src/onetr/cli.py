@@ -21,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .characterize import (cutoff_table, linear_vin_range, power_monte_carlo,
+from .characterize import (DEFAULT_TM_THRESHOLD, DEFAULT_V_SUPPLY,
+                           cutoff_table, linear_vin_range, power_monte_carlo,
                            sweep_geff, tolerance_metric, write_cutoff_csv)
+from .crossbar import DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH
 from .data import make_blobs, read_dataset_csv
 from .device import (ANALYTICAL, IDEAL_SWITCH, default_device,
                      leakage_stressed_device, load_device_file)
@@ -73,12 +75,6 @@ def parse_vg_values(text: str):
         raise CliError(2, f"invalid gate-voltage spec {text!r}: {exc}") from exc
 
 
-def _positive(name, value):
-    if not np.isfinite(value) or value <= 0:
-        raise CliError(4, f"{name} must be positive, got {value}")
-    return value
-
-
 def _load_device(spec: str):
     try:
         if spec == "default":
@@ -95,21 +91,34 @@ def _load_device(spec: str):
 def _device(args):
     """``(t, mem, mode)`` from --device and --device-mode; checks --vsupply."""
     t, mem = _load_device(args.device)
-    _positive("vsupply", args.vsupply)
+    if not np.isfinite(args.vsupply) or args.vsupply <= 0:
+        raise CliError(4, f"vsupply must be positive, got {args.vsupply}")
     return t, mem, _DEVICE_MODES[args.device_mode]
 
 
-def _load_data(args):
-    """(x_train, y_train, x_test, y_test); bundled blobs unless --data given."""
-    if getattr(args, "data", None):
+def _load_data(args, model=None, max_samples=0):
+    """(x_train, y_train, x_test, y_test); bundled blobs unless --data given.
+
+    Both splits must match ``model``'s input width (else the training
+    split's); a positive ``max_samples`` cuts the test split.
+    """
+    if max_samples < 0:
+        raise CliError(4, f"--max-samples must be >= 0, got {max_samples}")
+    if args.data:
         x_tr, y_tr = read_dataset_csv(args.data)
-        if getattr(args, "test_data", None):
-            x_te, y_te = read_dataset_csv(args.test_data)
-        else:
-            x_te, y_te = x_tr, y_tr
-        return x_tr, y_tr, x_te, y_te
-    ds = make_blobs()
-    return ds.x_train, ds.y_train, ds.x_test, ds.y_test
+        x_te, y_te = (read_dataset_csv(args.test_data) if args.test_data
+                      else (x_tr, y_tr))
+    else:
+        ds = make_blobs()
+        x_tr, y_tr, x_te, y_te = ds.x_train, ds.y_train, ds.x_test, ds.y_test
+    width = x_tr.shape[1] if model is None else model.dims[0]
+    for split, x in (("training", x_tr), ("test", x_te)):
+        if x.shape[1] != width:
+            raise CliError(4, f"the {split} split has {x.shape[1]} features, "
+                              f"expected {width}")
+    if max_samples:
+        x_te, y_te = x_te[:max_samples], y_te[:max_samples]
+    return x_tr, y_tr, x_te, y_te
 
 
 def _require_file(path, what) -> Path:
@@ -119,10 +128,18 @@ def _require_file(path, what) -> Path:
     return p
 
 
+def _checkpoint(args):
+    return load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+
+
+def _read_schedule(path):
+    path = _require_file(path, "schedule file")
+    return schedule_from_dict(read_json_object(path))
+
+
 def _load_schedule_for(args, checkpoint):
-    if getattr(args, "schedule", None):
-        path = _require_file(args.schedule, "schedule file")
-        return schedule_from_dict(read_json_object(path))
+    if args.schedule:
+        return _read_schedule(args.schedule)
     if checkpoint.schedule is not None:
         return checkpoint.schedule
     raise CliError(4, "no schedule: pass --schedule or use a checkpoint "
@@ -257,27 +274,34 @@ def cmd_train(args, out: Path) -> int:
     return 0
 
 
+def _cutoff_table(args, t, mem):
+    """Cutoff table over --vg-grid at --tm and --vsupply."""
+    return cutoff_table(parse_vg_values(args.vg_grid), t, mem,
+                        tm_threshold=args.tm, v_supply=args.vsupply)
+
+
 def _build_schedule(args, model, t, mem):
-    grid = parse_vg_values(args.vg_grid)
-    table = cutoff_table(grid, t, mem, tm_threshold=args.tm,
-                         v_supply=args.vsupply)
+    """``(table, schedule)``; a schedule file is read as is, with no table."""
+    step_down = getattr(args, "step_down", False)  # a search-vg flag
+    if args.schedule not in ("heterogeneous", "homogeneous"):
+        if step_down:
+            raise CliError(2, "--step-down cannot shift a schedule file")
+        return None, _read_schedule(args.schedule)
+    table = _cutoff_table(args, t, mem)
     if args.schedule == "heterogeneous":
-        schedule = search_heterogeneous_vg(model, table, mem, grid=grid)
-    elif args.schedule == "homogeneous":
-        if args.vg is None:
-            raise CliError(2, "--vg is required for a homogeneous schedule")
-        schedule = homogeneous_schedule(model, args.vg, table, mem, grid=grid)
+        schedule = search_heterogeneous_vg(model, table, mem)
+    elif args.vg is None:
+        raise CliError(2, "--vg is required for a homogeneous schedule")
     else:
-        path = _require_file(args.schedule, "schedule file")
-        return None, schedule_from_dict(read_json_object(path))
-    if getattr(args, "step_down", False):
+        schedule = homogeneous_schedule(model, args.vg, table, mem)
+    if step_down:
         schedule = step_down_schedule(schedule, table, mem)
     return table, schedule
 
 
 def cmd_search_vg(args, out: Path) -> int:
     t, mem, _ = _device(args)
-    checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
+    checkpoint = _checkpoint(args)
     table, schedule = _build_schedule(args, checkpoint.model, t, mem)
     if table is not None:
         write_cutoff_csv(table, out / "cutoff_table.csv")
@@ -290,10 +314,8 @@ def cmd_search_vg(args, out: Path) -> int:
 def cmd_neat(args, out: Path) -> int:
     t, mem, _ = _device(args)
     if args.checkpoint:
-        checkpoint = load_checkpoint(_require_file(args.checkpoint,
-                                                   "checkpoint"))
-        model = checkpoint.model
-        x_tr, y_tr, x_te, y_te = _load_data(args)
+        model = _checkpoint(args).model
+        x_tr, y_tr, x_te, y_te = _load_data(args, model)
     else:
         model, base_config, (x_tr, y_tr, x_te, y_te) = _train_baseline(args)
         save_checkpoint(out / "baseline_checkpoint.json", model,
@@ -320,39 +342,40 @@ def cmd_neat(args, out: Path) -> int:
 
 
 def cmd_eval(args, out: Path) -> int:
-    checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    x_tr, y_tr, x_te, y_te = _load_data(args)
+    checkpoint = _checkpoint(args)
+    x_tr, y_tr, x_te, y_te = _load_data(args, checkpoint.model)
+    payload = {"mode": args.mode, "n_test": int(len(y_te))}
     if args.mode == "software":
         acc = evaluate(checkpoint.model, x_te, y_te)
-        payload = {"mode": "software", "accuracy": acc,
-                   "n_test": int(len(y_te))}
     else:
         t, mem, mode = _device(args)
         schedule = _load_schedule_for(args, checkpoint)
         acc = evaluate(checkpoint.model, x_te, y_te, mode="crossbar",
                        schedule=schedule, t=t, mem=mem, calib_x=x_tr,
                        device_mode=mode, v_supply=args.vsupply)
-        payload = {"mode": "crossbar", "accuracy": acc,
-                   "n_test": int(len(y_te)),
-                   "device_mode": args.device_mode,
-                   "gate_voltages": schedule.gate_voltages()}
-    _write_json(out / "eval.json", payload)
+        payload.update(device_mode=args.device_mode,
+                       gate_voltages=schedule.gate_voltages())
+    _write_json(out / "eval.json", {**payload, "accuracy": acc})
     print(f"accuracy={acc:.4f} ({args.mode})")
     return 0
 
 
+def _energy(args, device, model, schedule, x_calib, x_eval):
+    """Program ``model`` under ``schedule`` and read ``x_eval`` through it."""
+    t, mem, mode = device
+    tilesets = program_model(model, schedule, mem, x_calib)
+    biases = [l.b for l in model.dense_layers()]
+    return network_energy(tilesets, biases, x_eval, t, mode=mode,
+                          v_supply=args.vsupply, pulse_width=args.pulse_width,
+                          c_gate=args.c_gate)
+
+
 def cmd_energy(args, out: Path) -> int:
-    checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    t, mem, mode = _device(args)
+    checkpoint = _checkpoint(args)
+    device = _device(args)
     schedule = _load_schedule_for(args, checkpoint)
-    x_tr, y_tr, x_te, y_te = _load_data(args)
-    x_eval = x_te[:args.max_samples] if args.max_samples else x_te
-    tilesets = program_model(checkpoint.model, schedule, mem, x_tr)
-    biases = [l.b for l in checkpoint.model.dense_layers()]
-    energy = network_energy(tilesets, biases, x_eval, t, mode=mode,
-                            v_supply=args.vsupply,
-                            pulse_width=args.pulse_width,
-                            c_gate=args.c_gate)
+    x_tr, _, x_eval, _ = _load_data(args, checkpoint.model, args.max_samples)
+    energy = _energy(args, device, checkpoint.model, schedule, x_tr, x_eval)
     n = int(x_eval.shape[0])
     payload = {"n_samples": n,
                "per_layer_J": energy["per_layer"],
@@ -365,24 +388,16 @@ def cmd_energy(args, out: Path) -> int:
 
 
 def cmd_report(args, out: Path) -> int:
-    checkpoint = load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-    t, mem, mode = _device(args)
-    x_tr, y_tr, x_te, y_te = _load_data(args)
-    x_eval = x_te[:args.max_samples] if args.max_samples else x_te
-    y_eval = y_te[:args.max_samples] if args.max_samples else y_te
-    grid = parse_vg_values(args.vg_grid)
-    table = cutoff_table(grid, t, mem, tm_threshold=args.tm,
-                         v_supply=args.vsupply)
-    biases = [l.b for l in checkpoint.model.dense_layers()]
+    checkpoint = _checkpoint(args)
+    device = _device(args)
+    t, mem, _ = device
+    x_tr, _, x_eval, y_eval = _load_data(args, checkpoint.model,
+                                         args.max_samples)
+    table = _cutoff_table(args, t, mem)
 
     def leg(vg):
-        schedule = homogeneous_schedule(checkpoint.model, vg, table, mem,
-                                        grid=grid)
-        tilesets = program_model(checkpoint.model, schedule, mem, x_tr)
-        energy = network_energy(tilesets, biases, x_eval, t, mode=mode,
-                                v_supply=args.vsupply,
-                                pulse_width=args.pulse_width,
-                                c_gate=args.c_gate)
+        schedule = homogeneous_schedule(checkpoint.model, vg, table, mem)
+        energy = _energy(args, device, checkpoint.model, schedule, x_tr, x_eval)
         acc = float(np.mean(np.argmax(energy["logits"], axis=1) == y_eval))
         return {"v_g": vg, "accuracy": acc, "total_J": energy["total"],
                 "per_sample_J": energy["total"] / int(x_eval.shape[0])}
@@ -402,7 +417,7 @@ def cmd_report(args, out: Path) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p, device=True, vsupply=True):
+def _add_common(p, device=True):
     p.add_argument("--out", default="run_out",
                    help="output directory (default: %(default)s)")
     if device:
@@ -411,8 +426,7 @@ def _add_common(p, device=True, vsupply=True):
                             "for the bundled sets")
         p.add_argument("--device-mode", default="analytical",
                        choices=list(_DEVICE_MODES))
-    if vsupply:
-        p.add_argument("--vsupply", type=float, default=0.5,
+        p.add_argument("--vsupply", type=float, default=DEFAULT_V_SUPPLY,
                        help="read supply voltage in V (default %(default)s)")
 
 
@@ -437,10 +451,19 @@ def _add_schedule_flags(p):
                         "path (default %(default)s)")
     p.add_argument("--vg", type=float, default=None,
                    help="gate voltage for a homogeneous schedule")
+    _add_table_flags(p)
+
+
+def _add_table_flags(p):
     p.add_argument("--vg-grid", default="0.7:1.0:0.05",
                    help="search grid as start:stop:step (default %(default)s)")
-    p.add_argument("--tm", type=float, default=0.025,
+    p.add_argument("--tm", type=float, default=DEFAULT_TM_THRESHOLD,
                    help="tolerance-metric threshold (default %(default)s)")
+
+
+def _add_energy_flags(p):
+    p.add_argument("--pulse-width", type=float, default=DEFAULT_PULSE_WIDTH)
+    p.add_argument("--c-gate", type=float, default=DEFAULT_C_GATE)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,14 +479,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gm", type=float, required=True,
                    help="memristor conductance in S")
     p.add_argument("--vg", type=float, required=True)
-    p.add_argument("--tm", type=float, default=0.025)
+    p.add_argument("--tm", type=float, default=DEFAULT_TM_THRESHOLD)
     _add_common(p)
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("cutoff", help="conductance-cutoff table over a Vg grid")
     p.add_argument("--vg", default="0.7:1.0:0.05",
                    help="grid start:stop:step or comma list (default %(default)s)")
-    p.add_argument("--tm", type=float, default=0.025)
+    p.add_argument("--tm", type=float, default=DEFAULT_TM_THRESHOLD)
     _add_common(p)
     p.set_defaults(func=cmd_cutoff)
 
@@ -474,8 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=16)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c-gate", type=float, default=1e-15)
-    p.add_argument("--pulse-width", type=float, default=1e-9)
+    _add_energy_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_power_mc)
 
@@ -483,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     p.add_argument("--seed", type=int, default=0)
     _add_data(p)
-    _add_common(p, device=False, vsupply=False)
+    _add_common(p, device=False)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("search-vg",
@@ -524,8 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", default=None)
     p.add_argument("--max-samples", type=int, default=0,
                    help="evaluate at most this many samples (0 = all)")
-    p.add_argument("--pulse-width", type=float, default=1e-9)
-    p.add_argument("--c-gate", type=float, default=1e-15)
+    _add_energy_flags(p)
     _add_data(p)
     _add_common(p)
     p.set_defaults(func=cmd_energy)
@@ -536,11 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--baseline-vg", type=float, default=1.0)
     p.add_argument("--compare-vg", type=float, default=0.8)
-    p.add_argument("--vg-grid", default="0.7:1.0:0.05")
-    p.add_argument("--tm", type=float, default=0.025)
+    _add_table_flags(p)
     p.add_argument("--max-samples", type=int, default=0)
-    p.add_argument("--pulse-width", type=float, default=1e-9)
-    p.add_argument("--c-gate", type=float, default=1e-15)
+    _add_energy_flags(p)
     _add_data(p)
     _add_common(p)
     p.set_defaults(func=cmd_report)

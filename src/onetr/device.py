@@ -89,15 +89,6 @@ ANALYTICAL = DeviceMode("analytical")
 IDEAL_SWITCH = DeviceMode("ideal_switch")
 
 
-@dataclass(frozen=True)
-class SynapseSolution:
-    """Operating point of one cell for a given (g_m, v_in, v_g)."""
-
-    current: float  # A
-    v_internal: float  # V, node between memristor and transistor
-    g_eff: float  # S, current / v_in (secant slope at v_in = 0)
-
-
 def _gate_terms(vgs, p: TransistorParams):
     """Gate-only factors of the drain current: leak prefactor and overdrive."""
     ov = vgs - p.vth
@@ -224,20 +215,6 @@ def solve_synapse_grid(g_m, v_in, v_g, p: TransistorParams,
     return (np.where(at_zero, 0.0, current),
             np.where(at_zero, 0.0, x),
             g_eff)
-
-
-def solve_synapse(g_m: float, v_in: float, v_g: float, p: TransistorParams,
-                  mode: DeviceMode = ANALYTICAL) -> SynapseSolution:
-    """Solve one cell and return its operating point."""
-    current, v_internal, g_eff = solve_synapse_grid(g_m, v_in, v_g, p, mode)
-    return SynapseSolution(float(current), float(v_internal), float(g_eff))
-
-
-def effective_conductance(g_m: float, v_in: float, v_g: float,
-                          p: TransistorParams,
-                          mode: DeviceMode = ANALYTICAL) -> float:
-    """Effective cell conductance current / v_in at one operating point."""
-    return solve_synapse(g_m, v_in, v_g, p, mode).g_eff
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,14 @@ def trained_checkpoint(tmp_path_factory, small_csvs):
     return str(out / "checkpoint.json")
 
 
+@pytest.fixture(scope="module")
+def schedule_file(tmp_path_factory, trained_checkpoint):
+    out = tmp_path_factory.mktemp("search_run")
+    assert main(["search-vg", "--checkpoint", trained_checkpoint,
+                 "--out", str(out)]) == 0
+    return str(out / "schedule.json")
+
+
 def test_parse_vg_values_forms():
     assert parse_vg_values("0.7:1.0:0.05") == pytest.approx(
         [0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0])
@@ -193,6 +201,57 @@ def test_domain_errors_exit_4(tmp_path):
     assert main(["cutoff", "--tm", "1.5", "--out", str(tmp_path / "run")]) == 4
     assert main(["characterize", "--gm=-1e-5", "--vg", "0.9",
                  "--out", str(tmp_path / "run2")]) == 4
+
+
+def test_negative_max_samples_exits_4(tmp_path, trained_checkpoint,
+                                      schedule_file, small_csvs):
+    # A negative count would slice rows off the end of the test split.
+    train_csv, test_csv = small_csvs
+    data = ["--data", train_csv, "--test-data", test_csv]
+    assert main(["energy", "--checkpoint", trained_checkpoint, "--schedule",
+                 schedule_file, "--max-samples", "-5",
+                 "--out", str(tmp_path / "energy")] + data) == 4
+    assert main(["report", "--checkpoint", trained_checkpoint,
+                 "--max-samples", "-3", "--out", str(tmp_path / "report")]
+                + data) == 4
+
+
+def test_data_width_mismatch_exits_4(tmp_path, trained_checkpoint,
+                                     schedule_file, small_csvs):
+    train_csv, test_csv = small_csvs
+    x, y = read_dataset_csv(test_csv)
+    narrow = str(tmp_path / "narrow.csv")
+    write_dataset_csv(narrow, x[:, :10], y)  # the checkpoint takes 16 inputs
+    ckpt = ["--checkpoint", trained_checkpoint]
+    runs = [["eval", *ckpt], ["eval", *ckpt, "--mode", "crossbar",
+                              "--schedule", schedule_file],
+            ["energy", *ckpt, "--schedule", schedule_file],
+            ["report", *ckpt], ["neat", *ckpt, "--iters", "1"]]
+    for i, argv in enumerate(runs):
+        for data in (["--data", narrow], ["--data", train_csv,
+                                          "--test-data", narrow]):
+            assert main(argv + data + ["--out", str(tmp_path / f"{i}")]) == 4
+    assert main(["train", "--epochs", "1", "--data", train_csv,
+                 "--test-data", narrow, "--out", str(tmp_path / "t")]) == 4
+
+
+def test_schedule_file_needs_no_cutoff_table(tmp_path, monkeypatch,
+                                             trained_checkpoint, schedule_file,
+                                             small_csvs):
+    train_csv, test_csv = small_csvs
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a schedule file needs no cutoff table")
+
+    monkeypatch.setattr("onetr.cli.cutoff_table", no_table)
+    assert main(["neat", "--checkpoint", trained_checkpoint,
+                 "--schedule", schedule_file, "--iters", "1",
+                 "--epochs-per-iter", "1", "--data", train_csv,
+                 "--test-data", test_csv, "--out", str(tmp_path / "neat")]) == 0
+    # --step-down shifts a searched schedule; it cannot apply to a file.
+    assert main(["search-vg", "--checkpoint", trained_checkpoint,
+                 "--schedule", schedule_file, "--step-down",
+                 "--out", str(tmp_path / "search")]) == 2
 
 
 @pytest.fixture

@@ -6,8 +6,7 @@ from hypothesis import given, strategies as st
 
 from onetr import (ANALYTICAL, IDEAL_SWITCH, DeviceMode, DomainError,
                    MemristorParams, TransistorParams, default_device,
-                   effective_conductance, leakage_stressed_device,
-                   load_device_file, save_device_file, solve_synapse,
+                   leakage_stressed_device, load_device_file, save_device_file,
                    solve_synapse_grid, transistor_current)
 from onetr.device import _SOLVE_BLOCK, V_EPSILON
 
@@ -90,14 +89,14 @@ def test_solve_satisfies_current_balance(device, stressed):
             g_m = rng.uniform(mem.g_off, mem.g_on)
             v_in = rng.uniform(1e-3, 0.5)
             v_g = rng.uniform(0.0, 1.2)
-            sol = solve_synapse(g_m, v_in, v_g, t)
-            i_mem = (v_in - sol.v_internal) * g_m
-            i_tr = transistor_current(v_g, sol.v_internal, t)
-            scale = max(abs(sol.current), g_m * v_in)
+            current, x, g_eff = solve_synapse_grid(g_m, v_in, v_g, t)
+            i_mem = (v_in - x) * g_m
+            i_tr = transistor_current(v_g, x, t)
+            scale = max(abs(current), g_m * v_in)
             assert abs(i_mem - i_tr) <= 1e-12 * scale
-            assert 0.0 <= sol.v_internal <= v_in
-            assert sol.g_eff <= g_m * (1.0 + 1e-12)
-            assert sol.g_eff >= 0.0 if leak_floor else sol.g_eff > 0.0
+            assert 0.0 <= x <= v_in
+            assert g_eff <= g_m * (1.0 + 1e-12)
+            assert g_eff >= 0.0 if leak_floor else g_eff > 0.0
         # Edge points: the smallest solved read voltage, the gate fully off
         # and at the top of the sampled range, both ends of the window.
         g_m, v_in, v_g = np.meshgrid([mem.g_off, mem.g_on], [V_EPSILON, 0.5],
@@ -130,22 +129,24 @@ def test_solve_is_independent_of_block_neighbours(device):
 
 def test_geff_at_zero_input_is_secant_limit(device):
     t, _ = device
-    sol = solve_synapse(2e-5, 0.0, 0.9, t)
-    assert sol.current == 0.0
-    assert sol.v_internal == 0.0
-    ref = solve_synapse(2e-5, V_EPSILON, 0.9, t)
-    assert sol.g_eff == pytest.approx(ref.g_eff, rel=1e-12)
-    assert sol.g_eff > 0.0
+    current, x, g_eff = solve_synapse_grid(2e-5, 0.0, 0.9, t)
+    assert current == 0.0
+    assert x == 0.0
+    _, _, ref_g_eff = solve_synapse_grid(2e-5, V_EPSILON, 0.9, t)
+    assert g_eff == pytest.approx(ref_g_eff, rel=1e-12)
+    assert g_eff > 0.0
 
 
 def test_ideal_switch_limits(device):
     t, _ = device
-    on = solve_synapse(2e-5, 0.3, t.vth + 0.2, t, mode=IDEAL_SWITCH)
-    assert on.g_eff == 2e-5
-    assert on.current == pytest.approx(2e-5 * 0.3, rel=1e-15)
-    off = solve_synapse(2e-5, 0.3, t.vth - 0.2, t, mode=IDEAL_SWITCH)
-    assert off.g_eff == 0.0
-    assert off.current == 0.0
+    on_current, _, on_g_eff = solve_synapse_grid(2e-5, 0.3, t.vth + 0.2, t,
+                                                 mode=IDEAL_SWITCH)
+    assert on_g_eff == 2e-5
+    assert on_current == pytest.approx(2e-5 * 0.3, rel=1e-15)
+    off_current, _, off_g_eff = solve_synapse_grid(2e-5, 0.3, t.vth - 0.2, t,
+                                                   mode=IDEAL_SWITCH)
+    assert off_g_eff == 0.0
+    assert off_current == 0.0
 
 
 def test_grid_solve_matches_scalar_solve(device):
@@ -156,19 +157,20 @@ def test_grid_solve_matches_scalar_solve(device):
     assert current.shape == (3, 3)
     for i in range(3):
         for j in range(3):
-            sol = solve_synapse(g[j], v[i, 0], 0.85, t)
-            assert current[i, j] == pytest.approx(sol.current, rel=1e-12)
-            assert g_eff[i, j] == pytest.approx(sol.g_eff, rel=1e-12)
+            one_current, _, one_g_eff = solve_synapse_grid(g[j], v[i, 0],
+                                                           0.85, t)
+            assert current[i, j] == pytest.approx(one_current, rel=1e-12)
+            assert g_eff[i, j] == pytest.approx(one_g_eff, rel=1e-12)
 
 
 def test_solve_rejects_bad_operating_points(device):
     t, _ = device
     with pytest.raises(DomainError):
-        solve_synapse(0.0, 0.3, 0.9, t)
+        solve_synapse_grid(0.0, 0.3, 0.9, t)
     with pytest.raises(DomainError):
-        solve_synapse(1e-5, -0.1, 0.9, t)
+        solve_synapse_grid(1e-5, -0.1, 0.9, t)
     with pytest.raises(DomainError):
-        solve_synapse(1e-5, 0.3, np.inf, t)
+        solve_synapse_grid(1e-5, 0.3, np.inf, t)
 
 
 def test_attenuation_grows_with_conductance(device):
@@ -177,7 +179,7 @@ def test_attenuation_grows_with_conductance(device):
     t, mem = device
     ratios = []
     for g_m in np.linspace(mem.g_off, mem.g_on, 8):
-        ratios.append(effective_conductance(g_m, 0.5, 0.8, t) / g_m)
+        ratios.append(solve_synapse_grid(g_m, 0.5, 0.8, t)[2] / g_m)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
 
 
