@@ -14,10 +14,9 @@ from .characterize import (CutoffTable, GeffCurve, PowerReport,
                            find_gm_cutoff, linear_vin_range,
                            power_monte_carlo, sweep_geff, tolerance_metric,
                            write_cutoff_csv)
-from .crossbar import (CrossbarTileSet, MvmResult, load_tileset, mvm_energy,
+from .crossbar import (CrossbarTileSet, MvmResult, mvm_energy,
                        mvm_energy_batch, mvm_ideal, mvm_nonideal,
-                       mvm_nonideal_batch, program, readout_gain,
-                       save_tileset)
+                       mvm_nonideal_batch, program, readout_gain)
 from .data import Dataset, make_blobs, read_dataset_csv, write_dataset_csv
 from .device import (ANALYTICAL, IDEAL_SWITCH, DeviceMode, MemristorParams,
                      TransistorParams, default_device, leakage_stressed_device,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mapping
+from .crossbar import DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH
 from .device import (ANALYTICAL, DeviceMode, MemristorParams,
                      TransistorParams, solve_synapse_grid)
 from .errors import CutoffLookupError, DomainError, atomic_write
@@ -204,8 +205,8 @@ def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,
                       v_supply: float = DEFAULT_V_SUPPLY,
                       seed: int = 0,
                       mode: DeviceMode = ANALYTICAL,
-                      c_gate: float = 1e-15,
-                      pulse_width: float = 1e-9) -> PowerReport:
+                      c_gate: float = DEFAULT_C_GATE,
+                      pulse_width: float = DEFAULT_PULSE_WIDTH) -> PowerReport:
     """Monte Carlo estimate of the mean per-synapse read power.
 
     Each sample programs the array from standard-normal weights clipped to

@@ -39,6 +39,8 @@ from .training import (evaluate, homogeneous_schedule, iterative_train,
 _LOCK_NAME = ".onetr.lock"
 MANIFEST_FILE_VERSION = 1
 _DEVICE_MODES = {"analytical": ANALYTICAL, "ideal_switch": IDEAL_SWITCH}
+DEFAULT_VG_GRID = "0.7:1.0:0.05"
+MAX_VG_POINTS = 1024  # longest gate-voltage grid a spec may expand to
 
 
 class CliError(Exception):
@@ -62,10 +64,12 @@ def parse_vg_values(text: str):
                 raise ValueError("step must be positive")
             if stop < start - 1e-9:
                 raise ValueError("stop must be >= start")
-            values, k = [], 0
-            while start + k * step <= stop + 1e-9:
-                values.append(round(start + k * step, 9))
-                k += 1
+            # Capped as built: a step below float spacing never ends.
+            values = []
+            while start + len(values) * step <= stop + 1e-9:
+                if len(values) == MAX_VG_POINTS:
+                    raise ValueError(f"more than {MAX_VG_POINTS} points")
+                values.append(round(start + len(values) * step, 9))
             return values
         values = [float(p) for p in text.split(",") if p.strip()]
         if not values:
@@ -346,13 +350,12 @@ def cmd_eval(args, out: Path) -> int:
     x_tr, y_tr, x_te, y_te = _load_data(args, checkpoint.model)
     payload = {"mode": args.mode, "n_test": int(len(y_te))}
     if args.mode == "software":
-        acc = evaluate(checkpoint.model, x_te, y_te)
+        acc = accuracy(checkpoint.model, x_te, y_te)
     else:
         t, mem, mode = _device(args)
         schedule = _load_schedule_for(args, checkpoint)
-        acc = evaluate(checkpoint.model, x_te, y_te, mode="crossbar",
-                       schedule=schedule, t=t, mem=mem, calib_x=x_tr,
-                       device_mode=mode, v_supply=args.vsupply)
+        acc = evaluate(checkpoint.model, x_te, y_te, schedule, t, mem, x_tr,
+                       mode, args.vsupply)
         payload.update(device_mode=args.device_mode,
                        gate_voltages=schedule.gate_voltages())
     _write_json(out / "eval.json", {**payload, "accuracy": acc})
@@ -455,7 +458,7 @@ def _add_schedule_flags(p):
 
 
 def _add_table_flags(p):
-    p.add_argument("--vg-grid", default="0.7:1.0:0.05",
+    p.add_argument("--vg-grid", default=DEFAULT_VG_GRID,
                    help="search grid as start:stop:step (default %(default)s)")
     p.add_argument("--tm", type=float, default=DEFAULT_TM_THRESHOLD,
                    help="tolerance-metric threshold (default %(default)s)")
@@ -484,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_characterize)
 
     p = sub.add_parser("cutoff", help="conductance-cutoff table over a Vg grid")
-    p.add_argument("--vg", default="0.7:1.0:0.05",
+    p.add_argument("--vg", default=DEFAULT_VG_GRID,
                    help="grid start:stop:step or comma list (default %(default)s)")
     p.add_argument("--tm", type=float, default=DEFAULT_TM_THRESHOLD)
     _add_common(p)

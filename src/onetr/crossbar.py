@@ -17,14 +17,13 @@ exactly one); the data-dependent residue is what the tolerance metric bounds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .device import ANALYTICAL, DeviceMode, TransistorParams, solve_synapse_grid
-from .errors import DomainError, atomic_write, read_json_object
+from .errors import DomainError
 from .mapping import LayerScale, clip_weights, weight_to_conductance
 
 DEFAULT_TILE_ROWS = 64
@@ -32,8 +31,6 @@ DEFAULT_TILE_COLS = 64
 DEFAULT_PULSE_WIDTH = 1e-9  # s
 DEFAULT_C_GATE = 1e-15  # F per row gate line
 _MVM_BLOCK_CELLS = 1 << 16  # cells per batch slice of the crossbar solve
-
-TILESET_FILE_VERSION = 1
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality
@@ -63,7 +60,8 @@ class CrossbarTileSet:
 
     @property
     def tiles(self) -> tuple:
-        """Row-major ``Tile`` views of the conductance matrices."""
+        """Row-major ``Tile`` views of the conductance matrices; no sum
+        reads them, only the benchmark (``perfbench/``) does."""
         rows, cols = self.shape
         return tuple(
             Tile(r0, c0,
@@ -253,74 +251,3 @@ def mvm_energy_batch(ts: CrossbarTileSet, activations, t: TransistorParams,
     """Per-sample energies for a batch of activation vectors."""
     return mvm_nonideal_batch(ts, activations, t, mode, v_supply,
                               pulse_width, c_gate).energy
-
-
-# ---------------------------------------------------------------------------
-# Dump format
-
-def tileset_to_dict(ts: CrossbarTileSet) -> dict:
-    return {
-        "format_version": TILESET_FILE_VERSION,
-        "shape": list(ts.shape),
-        "v_g": ts.v_g,
-        "w_cut": ts.w_cut,
-        "a_max": ts.a_max,
-        "tile_rows": ts.tile_rows,
-        "tile_cols": ts.tile_cols,
-        "clipped_count": ts.clipped_count,
-        "clipped_fraction": ts.clipped_fraction,
-        "scale": {"w_r": ts.scale.w_r, "s": ts.scale.s,
-                  "k_readout": ts.scale.k_readout,
-                  "g_on": ts.scale.g_on, "g_off": ts.scale.g_off},
-        "tiles": [{"row0": tile.row0, "col0": tile.col0,
-                   "g_plus": tile.g_plus.tolist(),
-                   "g_minus": tile.g_minus.tolist()} for tile in ts.tiles],
-    }
-
-
-def _real(value) -> float:  # a finite JSON number, not a bool
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not np.isfinite(value)):
-        raise ValueError(f"expected a finite number, got {value!r}")
-    return float(value)
-
-
-def tileset_from_dict(raw: dict) -> CrossbarTileSet:
-    if raw.get("format_version") != TILESET_FILE_VERSION:
-        raise DomainError("unsupported crossbar dump version "
-                          f"{raw.get('format_version')!r}")
-    try:
-        shape = tuple(raw["shape"])
-        scale = LayerScale(**{k: _real(v) for k, v in raw["scale"].items()})
-        ts = CrossbarTileSet(shape, np.empty(shape), np.empty(shape),
-                             _real(raw["v_g"]), _real(raw["w_cut"]), scale,
-                             _real(raw["a_max"]), raw["tile_rows"],
-                             raw["tile_cols"], raw["clipped_count"],
-                             raw["clipped_fraction"])
-        if (ts.a_max <= 0.0 or ts.v_g < 0.0
-                or not 0.0 <= ts.w_cut <= ts.scale.w_r * (1.0 + 1e-9)):
-            raise ValueError("needs a_max > 0, v_g >= 0, 0 <= w_cut <= w_r")
-        grid, tiles = ts.tiles, raw["tiles"]
-        if len(tiles) != len(grid):  # every cell is written exactly once
-            raise ValueError(f"{len(tiles)} tiles for a {len(grid)}-tile grid")
-        for view, tile in zip(grid, tiles):
-            g = [np.asarray(tile[key], dtype=float)
-                 for key in ("g_plus", "g_minus")]
-            got = ((tile["row0"], tile["col0"]), g[0].shape, g[1].shape)
-            want = ((view.row0, view.col0),) + (view.g_plus.shape,) * 2
-            if got != want:
-                raise ValueError(f"tile (origin, shapes) {got}, grid {want}")
-            view.g_plus[...], view.g_minus[...] = g
-        return ts
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed crossbar dump: {exc}") from exc
-
-
-def save_tileset(path, ts: CrossbarTileSet) -> None:
-    with atomic_write(path) as fh:
-        json.dump(tileset_to_dict(ts), fh, indent=2)
-        fh.write("\n")
-
-
-def load_tileset(path) -> CrossbarTileSet:
-    return tileset_from_dict(read_json_object(path))

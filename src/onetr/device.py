@@ -23,7 +23,7 @@ from importlib import resources
 
 import numpy as np
 
-from .errors import DomainError, atomic_write, read_json_object
+from .errors import DomainError, atomic_write, read_json_object, real
 
 # Read voltage used for the secant slope that defines g_eff at v_in = 0.
 V_EPSILON = 1e-6
@@ -233,8 +233,8 @@ def load_device_file(path) -> tuple[TransistorParams, MemristorParams]:
     """Read a flat JSON parameter file with transistor and memristor fields."""
     raw = read_json_object(path)
     try:
-        t_kwargs = {attr: float(raw[key]) for key, attr in _TRANSISTOR_KEYS.items()}
-        m_kwargs = {attr: float(raw[key]) for key, attr in _MEMRISTOR_KEYS.items()}
+        t_kwargs = {attr: real(raw[key], key) for key, attr in _TRANSISTOR_KEYS.items()}
+        m_kwargs = {attr: real(raw[key], key) for key, attr in _MEMRISTOR_KEYS.items()}
     except KeyError as exc:
         raise DomainError(f"device file {path}: missing field {exc.args[0]!r}") from exc
     return TransistorParams(**t_kwargs), MemristorParams(**m_kwargs)

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+import math
 import os
 
 
@@ -23,6 +24,14 @@ class CutoffLookupError(DomainError):
 
 class TrainingDivergedError(ToolkitError):
     """Training produced a non-finite loss."""
+
+
+def real(value, name: str = "value") -> float:
+    """A finite JSON number as a float; else DomainError naming ``name``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise DomainError(f"{name}: expected a finite number, got {value!r}")
+    return float(value)
 
 
 def read_json_object(path) -> dict:

@@ -183,7 +183,7 @@ class Model:
                 if i < len(raw["layers"]) - 1:
                     layers.append(ReLU())
             return cls(layers)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed model payload: {exc}") from exc
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .crossbar import (DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH,
                        mvm_nonideal_batch, program)
 from .device import ANALYTICAL, DeviceMode, MemristorParams, TransistorParams
-from .errors import DomainError, atomic_write, read_json_object
+from .errors import DomainError, atomic_write, read_json_object, real
 from .mapping import layer_scale, scale_from_range, wcut_from_vg
 from .network import Dense, Model, TrainConfig, accuracy, train
 
@@ -70,11 +70,23 @@ def schedule_to_dict(schedule: VgSchedule) -> dict:
     }
 
 
+def _entry_from_dict(raw: dict) -> ScheduleEntry:
+    e = ScheduleEntry(**raw)
+    v_g, w_cut, w_r = (real(getattr(e, k), k)
+                       for k in ("v_g", "w_cut", "w_r"))
+    if e.g_m_cutoff is not None:
+        real(e.g_m_cutoff, "g_m_cutoff")
+    if v_g < 0 or w_r <= 0 or not 0 <= w_cut <= w_r * (1 + 1e-9):
+        raise ValueError("needs v_g >= 0, w_r > 0 and 0 <= w_cut <= w_r")
+    return e
+
+
 def schedule_from_dict(raw: dict) -> VgSchedule:
     try:
-        entries = tuple(ScheduleEntry(**e) for e in raw["entries"])
-        return VgSchedule(raw["mode"], tuple(raw["grid"]), entries)
-    except (KeyError, TypeError) as exc:
+        entries = tuple(_entry_from_dict(e) for e in raw["entries"])
+        grid = tuple(real(v, "grid") for v in raw["grid"])
+        return VgSchedule(raw["mode"], grid, entries)
+    except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed schedule payload: {exc}") from exc
 
 
@@ -282,33 +294,14 @@ def crossbar_forward(tilesets, biases, x, t: TransistorParams,
     return acts, per_layer
 
 
-def evaluate(model: Model, x, y, mode: str = "software",
-             schedule: Optional[VgSchedule] = None,
-             t: Optional[TransistorParams] = None,
-             mem: Optional[MemristorParams] = None,
-             calib_x=None, device_mode: DeviceMode = ANALYTICAL,
-             v_supply: float = 0.5, tilesets=None) -> float:
-    """Accuracy of the software model or of its crossbar execution.
-
-    Crossbar mode programs the arrays from the schedule unless pre-built
-    tilesets are passed in.
-    """
-    if mode == "software":
-        return accuracy(model, x, y)
-    if mode != "crossbar":
-        raise DomainError(f"unknown evaluation mode {mode!r}")
-    if t is None:
-        raise DomainError("crossbar evaluation needs transistor parameters")
-    if tilesets is None:
-        if schedule is None or mem is None:
-            raise DomainError("crossbar evaluation needs a schedule and "
-                              "memristor parameters")
-        if calib_x is None:
-            raise DomainError("crossbar evaluation needs a calibration batch")
-        tilesets = program_model(model, schedule, mem, calib_x)
+def evaluate(model: Model, x, y, schedule: VgSchedule, t: TransistorParams,
+             mem: MemristorParams, calib_x, mode: DeviceMode = ANALYTICAL,
+             v_supply: float = 0.5) -> float:
+    """Accuracy of ``model`` programmed under ``schedule`` (calibrated on
+    ``calib_x``) and read through the crossbar."""
+    tilesets = program_model(model, schedule, mem, calib_x)
     biases = [l.b for l in model.dense_layers()]
-    logits = crossbar_forward(tilesets, biases, x, t, mode=device_mode,
-                              v_supply=v_supply)[0]
+    logits = crossbar_forward(tilesets, biases, x, t, mode, v_supply)[0]
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 
@@ -354,10 +347,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise DomainError(f"{path}: unsupported checkpoint version")
     try:
         model = Model.from_dict(raw["model"])
-    except KeyError as exc:
-        raise DomainError(f"{path}: missing model payload") from exc
-    schedule = (schedule_from_dict(raw["schedule"])
-                if raw.get("schedule") else None)
-    config = (TrainConfig(**raw["train_config"])
-              if raw.get("train_config") else None)
+        schedule = (schedule_from_dict(raw["schedule"])
+                    if raw.get("schedule") else None)
+        config = (TrainConfig(**raw["train_config"])
+                  if raw.get("train_config") else None)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DomainError(f"{path}: malformed checkpoint: {exc}") from exc
     return Checkpoint(model, schedule, config, raw.get("history"))

@@ -179,14 +179,12 @@ def test_06_retrain_recovers_clipped_network(device, table, blobs,
             train(base, blobs.x_train, blobs.y_train, TrainConfig(seed=seed))
             low = homogeneous_schedule(base, 0.70, table, mem)
             clip_accs.append(evaluate(base, blobs.x_test, blobs.y_test,
-                                      mode="crossbar", schedule=low, t=t,
-                                      mem=mem, calib_x=blobs.x_train))
+                                      low, t, mem, blobs.x_train))
             retrained, _ = iterative_train(base.copy(), low, blobs.x_train,
                                            blobs.y_train,
                                            retrain_config(seed=seed))
             neat_accs.append(evaluate(retrained, blobs.x_test, blobs.y_test,
-                                      mode="crossbar", schedule=low, t=t,
-                                      mem=mem, calib_x=blobs.x_train))
+                                      low, t, mem, blobs.x_train))
         assert np.mean(neat_accs) > np.mean(clip_accs)
         assert time.monotonic() - start < 300.0
 

@@ -9,8 +9,9 @@ import pytest
 from onetr import (ANALYTICAL, IDEAL_SWITCH, cutoff_table, default_device,
                    evaluate, homogeneous_schedule, load_checkpoint, make_blobs,
                    network_energy, program_model, read_dataset_csv,
-                   write_dataset_csv)
-from onetr.cli import _write_csv, _write_json, main, parse_vg_values
+                   save_device_file, write_dataset_csv)
+from onetr.cli import (MAX_VG_POINTS, CliError, _write_csv, _write_json,
+                       main, parse_vg_values)
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +47,9 @@ def test_parse_vg_values_forms():
     assert parse_vg_values("0.7:1.0:0.05") == pytest.approx(
         [0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0])
     assert parse_vg_values("0.8,1.0") == [0.8, 1.0]
+    assert len(parse_vg_values(f"0:{MAX_VG_POINTS - 1}:1")) == MAX_VG_POINTS
+    with pytest.raises(CliError):
+        parse_vg_values(f"0:{MAX_VG_POINTS}:1")
 
 
 def test_cutoff_artifacts_and_reruns_are_identical(tmp_path):
@@ -184,10 +188,20 @@ def test_locked_output_dir_is_an_io_error(tmp_path):
     assert main(["cutoff", "--out", str(out)]) == 3
 
 
-def test_usage_errors_exit_2(tmp_path):
-    assert main(["cutoff", "--vg", "0.9:0.7:0.05",
-                 "--out", str(tmp_path / "a")]) == 2
-    assert main(["cutoff", "--vg", "abc", "--out", str(tmp_path / "b")]) == 2
+def test_usage_errors_exit_2(tmp_path, monkeypatch, trained_checkpoint):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a usage error reached the device solver")
+
+    monkeypatch.setattr("onetr.cli.cutoff_table", no_scan)
+    monkeypatch.setattr("onetr.cli.power_monte_carlo", no_scan)
+    huge = "0.7:1.0:1e-7"  # 3,000,001 points
+    for i, argv in enumerate((["cutoff", "--vg", "0.9:0.7:0.05"],
+                              ["cutoff", "--vg", "abc"],
+                              ["cutoff", "--vg", huge],
+                              ["power-mc", "--vg", huge],
+                              ["search-vg", "--checkpoint", trained_checkpoint,
+                               "--vg-grid", huge])):
+        assert main(argv + ["--out", str(tmp_path / f"run{i}")]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["characterize", "--gm", "1e-5"]) == 2  # missing --vg
 
@@ -263,9 +277,27 @@ def malformed_json(tmp_path):
     return [str(p) for p in paths]
 
 
-def test_malformed_checkpoint_exits_4(tmp_path, malformed_json, small_csvs):
+def _edited_copies(tmp_path, source, edits):
+    """One copy of JSON file ``source`` per edit, each edited in place."""
+    paths = []
+    for i, edit in enumerate(edits):
+        raw = json.loads(Path(source).read_text())
+        edit(raw)
+        path = tmp_path / f"edited{i}.json"
+        path.write_text(json.dumps(raw))
+        paths.append(str(path))
+    return paths
+
+
+def test_malformed_checkpoint_exits_4(tmp_path, malformed_json,
+                                      trained_checkpoint, small_csvs):
     train_csv, test_csv = small_csvs
-    for i, path in enumerate(malformed_json):
+    edited = _edited_copies(tmp_path, trained_checkpoint, [
+        lambda raw: raw["train_config"].update(no_such_key=1),
+        lambda raw: raw["train_config"].update(learning_rate="x"),
+        lambda raw: raw["model"]["dims"].pop(),  # fewer dims than layers
+    ])
+    for i, path in enumerate(malformed_json + edited):
         for command in ("eval", "energy"):
             assert main([command, "--checkpoint", path,
                          "--out", str(tmp_path / f"{command}{i}"),
@@ -273,20 +305,39 @@ def test_malformed_checkpoint_exits_4(tmp_path, malformed_json, small_csvs):
 
 
 def test_malformed_schedule_file_exits_4(tmp_path, malformed_json,
-                                         trained_checkpoint, small_csvs):
+                                         trained_checkpoint, schedule_file,
+                                         small_csvs):
     train_csv, test_csv = small_csvs
-    for i, path in enumerate(malformed_json):
+    data = ["--data", train_csv, "--test-data", test_csv]
+    w_r = json.loads(Path(schedule_file).read_text())["entries"][0]["w_r"]
+    edited = _edited_copies(tmp_path, schedule_file, [
+        lambda raw, key=key, value=value: raw["entries"][0].update(
+            {key: value})
+        for key, value in (("w_cut", -1), ("w_cut", 2.0 * w_r), ("v_g", "x"),
+                           ("v_g", -0.1), ("w_r", 0.0), ("w_r", None),
+                           ("g_m_cutoff", [1e-5]))]
+        + [lambda raw: raw.update(grid=["x"])])
+    for i, path in enumerate(malformed_json + edited):
         assert main(["search-vg", "--checkpoint", trained_checkpoint,
                      "--schedule", path,
                      "--out", str(tmp_path / f"search{i}")]) == 4
         assert main(["eval", "--checkpoint", trained_checkpoint,
                      "--mode", "crossbar", "--schedule", path,
-                     "--out", str(tmp_path / f"eval{i}"),
-                     "--data", train_csv, "--test-data", test_csv]) == 4
+                     "--out", str(tmp_path / f"eval{i}")] + data) == 4
+        assert main(["neat", "--checkpoint", trained_checkpoint,
+                     "--schedule", path, "--iters", "1",
+                     "--out", str(tmp_path / f"neat{i}")] + data) == 4
 
 
 def test_malformed_device_file_exits_4(tmp_path, malformed_json):
-    for i, path in enumerate(malformed_json):
+    good = tmp_path / "device.json"
+    save_device_file(good, *default_device())
+    edited = _edited_copies(tmp_path, good, [
+        lambda raw: raw.update(vth="abc"),
+        lambda raw: raw.update(vth=[1]),
+        lambda raw: raw.update(kp=True),
+    ])
+    for i, path in enumerate(malformed_json + edited):
         assert main(["cutoff", "--device", path,
                      "--out", str(tmp_path / f"run{i}")]) == 4
 
@@ -319,8 +370,7 @@ def test_report_honours_device_mode(tmp_path, trained_checkpoint, small_csvs):
         assert ideal["total_J"] != analytical["total_J"]
         for mode, entry in ((IDEAL_SWITCH, ideal), (ANALYTICAL, analytical)):
             assert entry["accuracy"] == evaluate(
-                model, x_te[:20], y_te[:20], mode="crossbar", t=t,
-                tilesets=tilesets, device_mode=mode)
+                model, x_te[:20], y_te[:20], schedule, t, mem, x_tr, mode)
 
 
 def test_failed_write_keeps_previous_artifact(tmp_path):

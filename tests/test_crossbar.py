@@ -1,17 +1,15 @@
 """Tiled differential crossbar engine: programming, MVM, energy, fidelity."""
 
-import json
 import math
 
 import numpy as np
 import pytest
 
 from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, WcutSpec,
-                   load_tileset, mvm_energy, mvm_ideal, mvm_nonideal,
-                   mvm_nonideal_batch, program, readout_gain, save_tileset,
-                   scale_from_range, sweep_geff, tolerance_metric)
+                   mvm_energy, mvm_ideal, mvm_nonideal, mvm_nonideal_batch,
+                   program, readout_gain, scale_from_range, sweep_geff,
+                   tolerance_metric)
 from onetr import crossbar
-from onetr.crossbar import tileset_from_dict, tileset_to_dict
 
 TM_THRESHOLD = 0.025
 
@@ -292,69 +290,6 @@ def test_energy_scales_with_pulse_width(device, table):
     long = mvm_energy(ts, x, t, pulse_width=2e-9, c_gate=0.0)
     assert long == pytest.approx(2.0 * short, rel=1e-12)
     assert mvm_energy(ts, np.zeros(10), t) == 0.0
-
-
-def test_tileset_serialization_round_trip(tmp_path, device, table):
-    rng = np.random.default_rng(8)
-    w = rng.normal(size=(9, 5))
-    ts, _ = _tileset(w, device, table, a_max=1.7, tile_rows=4, tile_cols=3)
-    back = tileset_from_dict(tileset_to_dict(ts))
-    assert back.shape == ts.shape
-    assert back.v_g == ts.v_g and back.w_cut == ts.w_cut
-    assert back.a_max == ts.a_max
-    for a, b in zip(ts.tiles, back.tiles):
-        assert (a.row0, a.col0) == (b.row0, b.col0)
-        assert np.array_equal(a.g_plus, b.g_plus)
-        assert np.array_equal(a.g_minus, b.g_minus)
-
-    path = tmp_path / "layer.json"
-    save_tileset(path, ts)
-    loaded = load_tileset(path)
-    t, _ = device
-    x = rng.uniform(0, 1.0, 9)
-    assert np.array_equal(mvm_nonideal(loaded, x, t).outputs,
-                          mvm_nonideal(ts, x, t).outputs)
-
-
-def test_tileset_version_check(tmp_path, device, table):
-    ts, _ = _tileset(np.ones((2, 2)), device, table)
-    path = tmp_path / "layer.json"
-    save_tileset(path, ts)
-    raw = json.loads(path.read_text())
-    raw["format_version"] = 99
-    path.write_text(json.dumps(raw))
-    with pytest.raises(DomainError):
-        load_tileset(path)
-    for text in ("[1, 2]", "{not json"):
-        path.write_text(text)
-        with pytest.raises(DomainError):
-            load_tileset(path)
-
-    # A dump must write every cell of its tile grid exactly once.
-    rng = np.random.default_rng(10)
-    ts, _ = _tileset(rng.normal(size=(9, 5)), device, table,
-                     tile_rows=4, tile_cols=3)
-    good = tileset_to_dict(ts)
-    missing, moved, reshaped = (json.loads(json.dumps(good)) for _ in range(3))
-    missing["tiles"].pop()
-    moved["tiles"][2]["row0"] += 1
-    reshaped["tiles"][0]["g_minus"] = reshaped["tiles"][0]["g_minus"][:-1]
-    for raw in (missing, moved, reshaped):
-        with pytest.raises(DomainError, match="malformed crossbar dump"):
-            tileset_from_dict(raw)
-
-    # Scalars must be finite numbers within the bounds program() enforces.
-    for key, value in (("a_max", -1.0), ("a_max", "1"), ("w_cut", "x"),
-                       ("v_g", -0.5), ("a_max", True), ("w_cut", -0.1),
-                       ("w_cut", 2.0 * good["scale"]["w_r"]), ("scale", [1])):
-        raw = json.loads(json.dumps(good))
-        raw[key] = value
-        with pytest.raises(DomainError, match="malformed crossbar dump"):
-            tileset_from_dict(raw)
-    raw = json.loads(json.dumps(good))
-    raw["scale"]["g_on"] = float("nan")
-    with pytest.raises(DomainError, match="malformed crossbar dump"):
-        tileset_from_dict(raw)
 
 
 def test_programmed_layers_compare_by_identity(device, table):

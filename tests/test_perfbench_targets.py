@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 
 from onetr import WcutSpec, default_device, program, scale_from_range
-from onetr.crossbar import tileset_to_dict
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,9 +41,8 @@ def test_tile_views_cover_the_layer():
     assert np.array_equal(g, np.concatenate((ts.g_plus, ts.g_minus),
                                             axis=1)[None])
     covered = np.zeros((70, 37), dtype=int)
-    for tile in tileset_to_dict(ts)["tiles"]:
-        r, c = np.shape(tile["g_plus"])
-        assert np.shape(tile["g_minus"]) == (r, c)
-        covered[tile["row0"]:tile["row0"] + r,
-                tile["col0"]:tile["col0"] + c] += 1
+    for tile in ts.tiles:
+        r, c = tile.g_plus.shape
+        assert tile.g_minus.shape == (r, c)
+        covered[tile.row0:tile.row0 + r, tile.col0:tile.col0 + c] += 1
     assert np.all(covered == 1)

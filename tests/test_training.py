@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from onetr import (DomainError, Model, WcutSpec, accuracy, clip_model,
-                   crossbar_forward, cutoff_table, evaluate,
+from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, Model, WcutSpec,
+                   clip_model, crossbar_forward, cutoff_table, evaluate,
                    homogeneous_schedule, iterative_train, linear_fraction,
                    load_checkpoint, mvm_energy_batch, mvm_nonideal_batch,
                    network_energy, program_model, retrain_config,
@@ -145,27 +145,17 @@ def test_program_model_builds_one_tileset_per_layer(baseline_model,
         program_model(baseline_model, het_schedule, mem, blobs.x_train[0])
 
 
-def test_evaluate_modes(baseline_model, het_schedule, blobs, device):
+def test_evaluate_is_argmax_of_crossbar_logits(baseline_model, het_schedule,
+                                               blobs, device):
     t, mem = device
-    soft = evaluate(baseline_model, blobs.x_test, blobs.y_test)
-    assert soft == accuracy(baseline_model, blobs.x_test, blobs.y_test)
-
-    calib = blobs.x_train[:256]
-    via_schedule = evaluate(baseline_model, blobs.x_test[:100],
-                            blobs.y_test[:100], mode="crossbar",
-                            schedule=het_schedule, t=t, mem=mem,
-                            calib_x=calib)
+    calib, x, y = blobs.x_train[:256], blobs.x_test[:100], blobs.y_test[:100]
     tilesets = program_model(baseline_model, het_schedule, mem, calib)
-    via_tilesets = evaluate(baseline_model, blobs.x_test[:100],
-                            blobs.y_test[:100], mode="crossbar", t=t,
-                            tilesets=tilesets)
-    assert via_schedule == via_tilesets
-
-    with pytest.raises(DomainError):
-        evaluate(baseline_model, blobs.x_test, blobs.y_test, mode="fpga")
-    with pytest.raises(DomainError):
-        evaluate(baseline_model, blobs.x_test, blobs.y_test, mode="crossbar",
-                 t=t)
+    biases = [l.b for l in baseline_model.dense_layers()]
+    for mode in (ANALYTICAL, IDEAL_SWITCH):
+        logits = crossbar_forward(tilesets, biases, x, t, mode)[0]
+        want = float(np.mean(np.argmax(logits, axis=1) == y))
+        assert evaluate(baseline_model, x, y, het_schedule, t, mem, calib,
+                        mode) == want
 
 
 def test_network_energy_totals(baseline_model, het_schedule, blobs, device):
@@ -204,8 +194,8 @@ def test_network_energy_is_one_forward_pass(baseline_model, het_schedule,
 
     # The accuracy report reads off these logits is evaluate's.
     acc = float(np.mean(np.argmax(energy["logits"], axis=1) == y))
-    assert acc == evaluate(baseline_model, x, y, mode="crossbar", t=t,
-                           tilesets=tilesets)
+    assert acc == evaluate(baseline_model, x, y, het_schedule, t, mem,
+                           blobs.x_train[:256])
 
 
 def test_checkpoint_round_trip(tmp_path, baseline_model, het_schedule):
