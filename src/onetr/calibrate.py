@@ -27,7 +27,7 @@ import numpy as np
 
 from .characterize import (DEFAULT_TM_THRESHOLD, DEFAULT_V_SUPPLY,
                            cutoff_table, default_vin_grid, find_gm_cutoff,
-                           linear_vin_range)
+                           linear_vin_range, sweep_geff)
 from .device import (IDEAL_SWITCH, MemristorParams, TransistorParams,
                      save_device_file)
 
@@ -42,7 +42,7 @@ def _shape_report(t: TransistorParams, mem: MemristorParams) -> dict:
     table = cutoff_table(VG_GRID, t, mem)
     cuts = [c for _, c in table.entries]
     grid = default_vin_grid()
-    window = linear_vin_range(mem.g_on, 0.80, t)
+    window = linear_vin_range(sweep_geff(mem.g_on, 0.80, t))
     return {
         "cutoffs": cuts,
         "all_present": all(c is not None for c in cuts),
@@ -88,7 +88,7 @@ def calibrate_default(mem: MemristorParams) -> TransistorParams:
 def check_stressed(t: TransistorParams, mem: MemristorParams) -> None:
     if find_gm_cutoff(1.3, t, mem) is not None:
         raise RuntimeError("stressed set unexpectedly has a cutoff at 1.3 V")
-    window = linear_vin_range(1e-5, 1.3, t)
+    window = linear_vin_range(sweep_geff(1e-5, 1.3, t))
     grid = default_vin_grid()
     if window is None or window[0] <= grid[0] * (1 + 1e-12):
         raise RuntimeError("stressed set should push the linear window away "
@@ -102,7 +102,8 @@ def main() -> int:
     check_stressed(t_stressed, mem)
 
     grid = default_vin_grid()
-    ideal = linear_vin_range(mem.g_on, 0.80, t_default, mode=IDEAL_SWITCH)
+    ideal = linear_vin_range(sweep_geff(mem.g_on, 0.80, t_default,
+                                        mode=IDEAL_SWITCH))
     if ideal != (grid[0], grid[-1]):
         raise RuntimeError(f"ideal switch should span the full grid: {ideal}")
 

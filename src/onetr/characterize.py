@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mapping
-from .crossbar import DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH
+from .crossbar import _MVM_BLOCK_CELLS, DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH
 from .device import (ANALYTICAL, DeviceMode, MemristorParams,
                      TransistorParams, solve_synapse_grid)
 from .errors import CutoffLookupError, DomainError, atomic_write
@@ -68,9 +68,9 @@ class CutoffTable:
 
     entries: tuple
 
-    def lookup(self, v_g: float, tol: float = 1e-9):
+    def lookup(self, v_g: float):
         for vg_i, cutoff in self.entries:
-            if abs(vg_i - v_g) <= tol:
+            if abs(vg_i - v_g) <= 1e-9:
                 return cutoff
         raise CutoffLookupError(f"v_g = {v_g} is not in the cutoff table")
 
@@ -116,11 +116,9 @@ def _check_threshold(tm_threshold: float) -> None:
         raise DomainError("tm_threshold must lie in (0, 1)")
 
 
-def linear_vin_range(g_m: float, v_g: float, t: TransistorParams,
-                     tm_threshold: float = DEFAULT_TM_THRESHOLD,
-                     v_supply: float = DEFAULT_V_SUPPLY,
-                     mode: DeviceMode = ANALYTICAL):
-    """Widest contiguous read-voltage window with windowed tm <= threshold.
+def linear_vin_range(curve: GeffCurve,
+                     tm_threshold: float = DEFAULT_TM_THRESHOLD):
+    """Widest contiguous read-voltage window of ``curve`` with tm <= threshold.
 
     Returns ``(v_lo, v_hi)`` grid values, or ``None`` when no window of at
     least two points qualifies.  Ties go to the lowest window.  The windowed
@@ -128,7 +126,6 @@ def linear_vin_range(g_m: float, v_g: float, t: TransistorParams,
     extending at the first violation.
     """
     _check_threshold(tm_threshold)
-    curve = sweep_geff(g_m, v_g, t, v_supply, mode)
     grid, g = curve.v_in, curve.g_eff
     n = g.size
     best = None  # (start, stop) inclusive
@@ -215,9 +212,10 @@ def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,
     power is the cell's ``v_in * current`` plus the per-row gate charging
     share ``c_gate * v_g**2 / pulse_width`` spread over the row.
 
-    Every sample draws from its own seed-and-index random stream and the
-    reductions run over fixed index ranges, so the estimate does not depend
-    on how samples are batched across workers.
+    Samples are drawn and solved in slices of at most ``_MVM_BLOCK_CELLS``
+    cells (or one sample), which bounds memory.  Every sample draws from its
+    own seed-and-index random stream and is reduced on its own, so the
+    estimate does not depend on the slicing.
     """
     if rows < 1 or cols < 1 or n_samples < 1:
         raise DomainError("rows, cols and n_samples must be at least 1")
@@ -226,19 +224,24 @@ def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,
     if c_gate < 0 or pulse_width <= 0:
         raise DomainError("c_gate must be >= 0 and pulse_width > 0")
     scale = mapping.scale_from_range(_MC_WEIGHT_RANGE, mem)
-    weights = np.empty((n_samples, rows, cols))
-    v_read = np.empty((n_samples, rows))
-    for i in range(n_samples):
-        rng = np.random.default_rng([seed, i])
-        weights[i] = rng.standard_normal((rows, cols))
-        v_read[i] = rng.uniform(0.0, v_supply, rows)
-    clipped = mapping.clip_weights(weights, _MC_WEIGHT_RANGE)
-    pair = mapping.weight_to_conductance(clipped, scale)
-    g_m = np.maximum(pair.g_plus, pair.g_minus)  # the side carrying |w|
-    current, _, _ = solve_synapse_grid(g_m, v_read[:, :, None], v_g, t, mode)
-    resistive = (v_read[:, :, None] * current).sum(axis=(1, 2))
-    active_rows = (v_read > 0.0).sum(axis=1)
-    gate = active_rows * c_gate * v_g * v_g / pulse_width
-    per_sample = (resistive + gate) / (rows * cols)
+    step = max(1, _MVM_BLOCK_CELLS // (rows * cols))
+    per_sample = np.empty(n_samples)
+    for s in range(0, n_samples, step):
+        ids = range(s, min(s + step, n_samples))
+        weights = np.empty((len(ids), rows, cols))
+        v_read = np.empty((len(ids), rows))
+        for k, i in enumerate(ids):
+            rng = np.random.default_rng([seed, i])
+            weights[k] = rng.standard_normal((rows, cols))
+            v_read[k] = rng.uniform(0.0, v_supply, rows)
+        clipped = mapping.clip_weights(weights, _MC_WEIGHT_RANGE)
+        pair = mapping.weight_to_conductance(clipped, scale)
+        g_m = np.maximum(pair.g_plus, pair.g_minus)  # the side carrying |w|
+        current, _, _ = solve_synapse_grid(g_m, v_read[:, :, None], v_g, t,
+                                           mode)
+        resistive = (v_read[:, :, None] * current).sum(axis=(1, 2))
+        active_rows = (v_read > 0.0).sum(axis=1)
+        gate = active_rows * c_gate * v_g * v_g / pulse_width
+        per_sample[ids.start:ids.stop] = (resistive + gate) / (rows * cols)
     return PowerReport(float(v_g), float(np.mean(per_sample)),
                        n_samples, seed, rows, cols, per_sample)

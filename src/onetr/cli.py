@@ -1,8 +1,9 @@
 """Command line entry point for reproducible characterization and training runs.
 
 Every subcommand writes its artifacts plus a ``run_manifest.json`` (full
-configuration echo, seed, toolkit version) into the chosen output directory,
-so a run is reproducible from the manifest alone. Output directories are
+configuration echo, seed, toolkit version, exit code; written last) into the
+chosen output directory, so a run is reproducible from the manifest alone.
+Every option a subcommand declares is one it reads. Output directories are
 guarded by a lock file; concurrent runs into the same directory are refused.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 domain (invalid values, degenerate
@@ -93,11 +94,11 @@ def _load_device(spec: str):
 
 
 def _device(args):
-    """``(t, mem, mode)`` from --device and --device-mode; checks --vsupply."""
+    """``(t, mem)`` from --device; checks --vsupply."""
     t, mem = _load_device(args.device)
     if not np.isfinite(args.vsupply) or args.vsupply <= 0:
         raise CliError(4, f"vsupply must be positive, got {args.vsupply}")
-    return t, mem, _DEVICE_MODES[args.device_mode]
+    return t, mem
 
 
 def _load_data(args, model=None, max_samples=0):
@@ -168,16 +169,17 @@ def _write_csv(path, header, rows) -> None:
                              for v in row])
 
 
-def _write_manifest(out: Path, command: str, args) -> None:
+def _write_manifest(out: Path, args, exit_code: int) -> None:
     skip = {"func", "out"}
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in skip and not k.startswith("_")}
     _write_json(out / "run_manifest.json", {
         "format_version": MANIFEST_FILE_VERSION,
         "toolkit_version": __version__,
-        "command": command,
+        "command": args.command,
         "seed": config.get("seed"),
         "config": config,
+        "exit_code": exit_code,
     })
 
 
@@ -211,13 +213,13 @@ class _OutputDir:
 # subcommands
 
 def cmd_characterize(args, out: Path) -> int:
-    t, mem, mode = _device(args)
-    curve = sweep_geff(args.gm, args.vg, t, v_supply=args.vsupply, mode=mode)
+    t, _ = _device(args)
+    curve = sweep_geff(args.gm, args.vg, t, v_supply=args.vsupply,
+                       mode=_DEVICE_MODES[args.device_mode])
     _write_csv(out / "geff_curve.csv", ["v_in", "g_eff"],
                zip(curve.v_in.tolist(), curve.g_eff.tolist()))
     tm = tolerance_metric(curve)
-    window = linear_vin_range(args.gm, args.vg, t, tm_threshold=args.tm,
-                              v_supply=args.vsupply, mode=mode)
+    window = linear_vin_range(curve, tm_threshold=args.tm)
     _write_json(out / "linear_range.json", {
         "g_m": args.gm, "v_g": args.vg, "tm": tm.tm,
         "tm_threshold": args.tm,
@@ -229,10 +231,10 @@ def cmd_characterize(args, out: Path) -> int:
 
 
 def cmd_cutoff(args, out: Path) -> int:
-    t, mem, mode = _device(args)
+    t, mem = _device(args)
     table = cutoff_table(parse_vg_values(args.vg), t, mem,
                          tm_threshold=args.tm, v_supply=args.vsupply,
-                         mode=mode)
+                         mode=_DEVICE_MODES[args.device_mode])
     write_cutoff_csv(table, out / "cutoff_table.csv")
     n_found = sum(c is not None for _, c in table.entries)
     print(f"wrote cutoff_table.csv ({len(table.entries)} rows, "
@@ -241,7 +243,8 @@ def cmd_cutoff(args, out: Path) -> int:
 
 
 def cmd_power_mc(args, out: Path) -> int:
-    t, mem, mode = _device(args)
+    t, mem = _device(args)
+    mode = _DEVICE_MODES[args.device_mode]
     rows = []
     for vg in parse_vg_values(args.vg):
         report = power_monte_carlo(args.rows, args.cols, args.samples, vg,
@@ -278,12 +281,6 @@ def cmd_train(args, out: Path) -> int:
     return 0
 
 
-def _cutoff_table(args, t, mem):
-    """Cutoff table over --vg-grid at --tm and --vsupply."""
-    return cutoff_table(parse_vg_values(args.vg_grid), t, mem,
-                        tm_threshold=args.tm, v_supply=args.vsupply)
-
-
 def _build_schedule(args, model, t, mem):
     """``(table, schedule)``; a schedule file is read as is, with no table."""
     step_down = getattr(args, "step_down", False)  # a search-vg flag
@@ -291,7 +288,8 @@ def _build_schedule(args, model, t, mem):
         if step_down:
             raise CliError(2, "--step-down cannot shift a schedule file")
         return None, _read_schedule(args.schedule)
-    table = _cutoff_table(args, t, mem)
+    table = cutoff_table(parse_vg_values(args.vg_grid), t, mem,
+                         tm_threshold=args.tm, v_supply=args.vsupply)
     if args.schedule == "heterogeneous":
         schedule = search_heterogeneous_vg(model, table, mem)
     elif args.vg is None:
@@ -304,7 +302,7 @@ def _build_schedule(args, model, t, mem):
 
 
 def cmd_search_vg(args, out: Path) -> int:
-    t, mem, _ = _device(args)
+    t, mem = _device(args)
     checkpoint = _checkpoint(args)
     table, schedule = _build_schedule(args, checkpoint.model, t, mem)
     if table is not None:
@@ -316,7 +314,7 @@ def cmd_search_vg(args, out: Path) -> int:
 
 
 def cmd_neat(args, out: Path) -> int:
-    t, mem, _ = _device(args)
+    t, mem = _device(args)
     if args.checkpoint:
         model = _checkpoint(args).model
         x_tr, y_tr, x_te, y_te = _load_data(args, model)
@@ -352,10 +350,10 @@ def cmd_eval(args, out: Path) -> int:
     if args.mode == "software":
         acc = accuracy(checkpoint.model, x_te, y_te)
     else:
-        t, mem, mode = _device(args)
+        t, mem = _device(args)
         schedule = _load_schedule_for(args, checkpoint)
         acc = evaluate(checkpoint.model, x_te, y_te, schedule, t, mem, x_tr,
-                       mode, args.vsupply)
+                       _DEVICE_MODES[args.device_mode], args.vsupply)
         payload.update(device_mode=args.device_mode,
                        gate_voltages=schedule.gate_voltages())
     _write_json(out / "eval.json", {**payload, "accuracy": acc})
@@ -363,22 +361,22 @@ def cmd_eval(args, out: Path) -> int:
     return 0
 
 
-def _energy(args, device, model, schedule, x_calib, x_eval):
+def _energy(args, t, mem, model, schedule, x_calib, x_eval):
     """Program ``model`` under ``schedule`` and read ``x_eval`` through it."""
-    t, mem, mode = device
     tilesets = program_model(model, schedule, mem, x_calib)
     biases = [l.b for l in model.dense_layers()]
-    return network_energy(tilesets, biases, x_eval, t, mode=mode,
+    return network_energy(tilesets, biases, x_eval, t,
+                          mode=_DEVICE_MODES[args.device_mode],
                           v_supply=args.vsupply, pulse_width=args.pulse_width,
                           c_gate=args.c_gate)
 
 
 def cmd_energy(args, out: Path) -> int:
     checkpoint = _checkpoint(args)
-    device = _device(args)
+    t, mem = _device(args)
     schedule = _load_schedule_for(args, checkpoint)
     x_tr, _, x_eval, _ = _load_data(args, checkpoint.model, args.max_samples)
-    energy = _energy(args, device, checkpoint.model, schedule, x_tr, x_eval)
+    energy = _energy(args, t, mem, checkpoint.model, schedule, x_tr, x_eval)
     n = int(x_eval.shape[0])
     payload = {"n_samples": n,
                "per_layer_J": energy["per_layer"],
@@ -392,15 +390,16 @@ def cmd_energy(args, out: Path) -> int:
 
 def cmd_report(args, out: Path) -> int:
     checkpoint = _checkpoint(args)
-    device = _device(args)
-    t, mem, _ = device
+    t, mem = _device(args)
     x_tr, _, x_eval, y_eval = _load_data(args, checkpoint.model,
                                          args.max_samples)
-    table = _cutoff_table(args, t, mem)
+    table = cutoff_table(sorted({args.baseline_vg, args.compare_vg}), t, mem,
+                         tm_threshold=args.tm, v_supply=args.vsupply)
 
     def leg(vg):
         schedule = homogeneous_schedule(checkpoint.model, vg, table, mem)
-        energy = _energy(args, device, checkpoint.model, schedule, x_tr, x_eval)
+        energy = _energy(args, t, mem, checkpoint.model, schedule, x_tr,
+                         x_eval)
         acc = float(np.mean(np.argmax(energy["logits"], axis=1) == y_eval))
         return {"v_g": vg, "accuracy": acc, "total_J": energy["total"],
                 "per_sample_J": energy["total"] / int(x_eval.shape[0])}
@@ -420,15 +419,16 @@ def cmd_report(args, out: Path) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(p, device=True):
+def _add_common(p, device=True, device_mode=True):
     p.add_argument("--out", default="run_out",
                    help="output directory (default: %(default)s)")
     if device:
         p.add_argument("--device", default="default",
                        help="device parameter file, or 'default'/'stressed' "
                             "for the bundled sets")
-        p.add_argument("--device-mode", default="analytical",
-                       choices=list(_DEVICE_MODES))
+        if device_mode:
+            p.add_argument("--device-mode", default="analytical",
+                           choices=list(_DEVICE_MODES))
         p.add_argument("--vsupply", type=float, default=DEFAULT_V_SUPPLY,
                        help="read supply voltage in V (default %(default)s)")
 
@@ -454,10 +454,6 @@ def _add_schedule_flags(p):
                         "path (default %(default)s)")
     p.add_argument("--vg", type=float, default=None,
                    help="gate voltage for a homogeneous schedule")
-    _add_table_flags(p)
-
-
-def _add_table_flags(p):
     p.add_argument("--vg-grid", default=DEFAULT_VG_GRID,
                    help="search grid as start:stop:step (default %(default)s)")
     p.add_argument("--tm", type=float, default=DEFAULT_TM_THRESHOLD,
@@ -517,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_schedule_flags(p)
     p.add_argument("--step-down", action="store_true",
                    help="shift the schedule one grid step down")
-    _add_common(p)
+    _add_common(p, device_mode=False)
     p.set_defaults(func=cmd_search_vg)
 
     p = sub.add_parser("neat",
@@ -531,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--retrain-lr", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     _add_data(p)
-    _add_common(p)
+    _add_common(p, device_mode=False)
     p.set_defaults(func=cmd_neat)
 
     p = sub.add_parser("eval", help="software or crossbar accuracy")
@@ -560,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--baseline-vg", type=float, default=1.0)
     p.add_argument("--compare-vg", type=float, default=0.8)
-    _add_table_flags(p)
+    p.add_argument("--tm", type=float, default=DEFAULT_TM_THRESHOLD,
+                   help="tolerance-metric threshold (default %(default)s)")
     p.add_argument("--max-samples", type=int, default=0)
     _add_energy_flags(p)
     _add_data(p)
@@ -578,17 +575,26 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         with _OutputDir(args.out) as out:
-            _write_manifest(out, args.command, args)
-            return args.func(args, out)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+            exit_code = _run(args, out)
+            _write_manifest(out, args, exit_code)
+            return exit_code
+    except (CliError, OSError) as exc:
+        return _fail(exc)
+
+
+def _run(args, out: Path) -> int:
+    """Run the subcommand; an expected failure is reported as its exit code."""
+    try:
+        return args.func(args, out)
+    except (CliError, OSError, ToolkitError) as exc:
+        return _fail(exc)
+
+
+def _fail(exc: Exception) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, CliError):
         return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    return 3 if isinstance(exc, OSError) else 4
 
 
 if __name__ == "__main__":

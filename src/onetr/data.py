@@ -41,23 +41,19 @@ class Dataset:
         return int(self.y_train.max()) + 1
 
 
-def make_blobs(n_train: int = N_TRAIN, n_test: int = N_TEST,
-               n_features: int = N_FEATURES, n_classes: int = N_CLASSES,
-               seed: int = _DATA_SEED) -> Dataset:
+def make_blobs(seed: int = _DATA_SEED) -> Dataset:
     """Gaussian blobs with per-feature scales spanning two decades."""
-    if n_train < n_classes or n_test < n_classes:
-        raise DomainError("need at least one sample per class in each split")
     rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, 1.0, (n_classes, n_features))
-    scales = np.logspace(-1.0, 1.0, n_features)
+    centers = rng.normal(0.0, 1.0, (N_CLASSES, N_FEATURES))
+    scales = np.logspace(-1.0, 1.0, N_FEATURES)
     rng.shuffle(scales)
 
-    n = n_train + n_test
-    y = np.arange(n) % n_classes
-    x = centers[y] + rng.normal(0.0, _NOISE_STD, (n, n_features))
+    n = N_TRAIN + N_TEST
+    y = np.arange(n) % N_CLASSES
+    x = centers[y] + rng.normal(0.0, _NOISE_STD, (n, N_FEATURES))
     x *= scales
     x -= x.min(axis=0)  # crossbar rows need non-negative inputs
-    return Dataset(x[:n_train], y[:n_train], x[n_train:], y[n_train:])
+    return Dataset(x[:N_TRAIN], y[:N_TRAIN], x[N_TRAIN:], y[N_TRAIN:])
 
 
 def write_dataset_csv(path, x, y) -> None:

@@ -17,7 +17,6 @@ leakage-like bump in ``g_eff`` at low read voltages.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from importlib import resources
 
@@ -34,8 +33,6 @@ V_EPSILON = 1e-6
 _SOLVE_RTOL = 1e-13
 _SOLVE_MAX_ITERS = 64
 _SOLVE_BLOCK = 4096
-
-_ENV_DEVICE_FILE = "ONETR_DEVICE_FILE"
 
 
 @dataclass(frozen=True)
@@ -261,14 +258,7 @@ def _bundled(name: str) -> tuple[TransistorParams, MemristorParams]:
 
 
 def default_device() -> tuple[TransistorParams, MemristorParams]:
-    """Calibrated default parameters.
-
-    Honours the ONETR_DEVICE_FILE environment variable, otherwise loads the
-    bundled calibration produced by :mod:`onetr.calibrate`.
-    """
-    override = os.environ.get(_ENV_DEVICE_FILE)
-    if override:
-        return load_device_file(override)
+    """The bundled calibration produced by :mod:`onetr.calibrate`."""
     return _bundled("device_default.json")
 
 

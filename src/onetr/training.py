@@ -149,9 +149,9 @@ def search_heterogeneous_vg(model: Model, table, mem: MemristorParams,
 
 
 def homogeneous_schedule(model: Model, v_g: float, table,
-                         mem: MemristorParams, grid=None) -> VgSchedule:
+                         mem: MemristorParams) -> VgSchedule:
     """Same gate voltage for every layer, clip levels still per layer."""
-    grid = _sorted_grid(table, grid)
+    grid = _sorted_grid(table, None)
     _grid_index(grid, v_g)
     entries = []
     for i, layer in enumerate(model.dense_layers()):

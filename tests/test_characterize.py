@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from onetr import characterize
 from onetr import (ANALYTICAL, IDEAL_SWITCH, CutoffLookupError, CutoffTable,
                    DomainError, GeffCurve, cutoff_table, default_vin_grid,
                    find_gm_cutoff, linear_vin_range, power_monte_carlo,
@@ -37,7 +38,7 @@ def test_ideal_switch_has_zero_spread(device):
     t, mem = device
     curve = sweep_geff(mem.g_on, 0.9, t, mode=IDEAL_SWITCH)
     assert tolerance_metric(curve).tm == 0.0
-    window = linear_vin_range(mem.g_on, 0.9, t, mode=IDEAL_SWITCH)
+    window = linear_vin_range(curve)
     assert window == (pytest.approx(0.5 / 64), pytest.approx(0.5))
 
 
@@ -67,7 +68,7 @@ def test_linear_range_matches_bruteforce(device, stressed):
     for (t, _), g_m, v_g, thr in cases:
         curve = sweep_geff(g_m, v_g, t)
         expected = _bruteforce_window(curve.v_in, curve.g_eff, thr)
-        got = linear_vin_range(g_m, v_g, t, tm_threshold=thr)
+        got = linear_vin_range(curve, tm_threshold=thr)
         if expected is None:
             assert got is None
         else:
@@ -76,14 +77,15 @@ def test_linear_range_matches_bruteforce(device, stressed):
 
 def test_linear_range_none_when_threshold_unreachable(device):
     t, mem = device
-    assert linear_vin_range(mem.g_on, 0.8, t, tm_threshold=1e-9) is None
+    assert linear_vin_range(sweep_geff(mem.g_on, 0.8, t),
+                            tm_threshold=1e-9) is None
 
 
 def test_stressed_window_sits_at_high_read_voltages(stressed):
     # Leakage-limited cells behave like current sources: g_eff ~ 1/v_in, so
     # the only flat stretch is at the top of the read range.
     t, _ = stressed
-    window = linear_vin_range(1e-5, 1.3, t)
+    window = linear_vin_range(sweep_geff(1e-5, 1.3, t))
     assert window is not None
     lo, hi = window
     assert lo > 0.5 / 64 + 1e-12
@@ -133,6 +135,26 @@ def test_power_sample_streams_are_batch_invariant(device):
     assert np.array_equal(short.sample_powers, full.sample_powers[:3])
     assert full.mean_power == pytest.approx(np.mean(full.sample_powers))
     assert full.n_samples == 8 and full.sample_powers.shape == (8,)
+
+
+def test_power_mc_solves_in_bounded_slices(device, monkeypatch):
+    t, mem = device
+    cells = []
+    solve = characterize.solve_synapse_grid
+
+    def recording(g_m, v_in, *args):
+        cells.append(np.broadcast(g_m, v_in).size)
+        return solve(g_m, v_in, *args)
+
+    monkeypatch.setattr(characterize, "solve_synapse_grid", recording)
+    sliced = power_monte_carlo(64, 64, 400, 0.9, t, mem, seed=3)
+    assert sum(cells) == 400 * 64 * 64
+    assert max(cells) <= characterize._MVM_BLOCK_CELLS
+    monkeypatch.setattr(characterize, "_MVM_BLOCK_CELLS", 400 * 64 * 64)
+    whole = power_monte_carlo(64, 64, 400, 0.9, t, mem, seed=3)
+    assert cells[-1] == 400 * 64 * 64  # the reference is one unsliced solve
+    assert np.array_equal(sliced.sample_powers, whole.sample_powers)
+    assert sliced.mean_power == whole.mean_power
 
 
 def test_power_matches_closed_form_in_ideal_limit(device):

@@ -1,17 +1,20 @@
 """Command line interface: artifacts, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from onetr import (ANALYTICAL, IDEAL_SWITCH, cutoff_table, default_device,
-                   evaluate, homogeneous_schedule, load_checkpoint, make_blobs,
+from onetr import (ANALYTICAL, IDEAL_SWITCH, MemristorParams, TransistorParams,
+                   cutoff_table, default_device, evaluate,
+                   homogeneous_schedule, load_checkpoint, make_blobs,
                    network_energy, program_model, read_dataset_csv,
                    save_device_file, write_dataset_csv)
 from onetr.cli import (MAX_VG_POINTS, CliError, _write_csv, _write_json,
-                       main, parse_vg_values)
+                       build_parser, main, parse_vg_values)
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +75,7 @@ def test_manifest_has_no_volatile_fields(tmp_path):
     assert main(["cutoff", "--out", str(out)]) == 0
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["command"] == "cutoff"
+    assert manifest["exit_code"] == 0
     assert "toolkit_version" in manifest and "config" in manifest
     assert not any("time" in k or "date" in k for k in manifest)
 
@@ -200,7 +204,13 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, trained_checkpoint):
                               ["cutoff", "--vg", huge],
                               ["power-mc", "--vg", huge],
                               ["search-vg", "--checkpoint", trained_checkpoint,
-                               "--vg-grid", huge])):
+                               "--vg-grid", huge],
+                              # flags the command would not apply
+                              ["search-vg", "--checkpoint", trained_checkpoint,
+                               "--device-mode", "ideal_switch"],
+                              ["neat", "--device-mode", "ideal_switch"],
+                              ["report", "--checkpoint", trained_checkpoint,
+                               "--vg-grid", "0.8,1.0"])):
         assert main(argv + ["--out", str(tmp_path / f"run{i}")]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["characterize", "--gm", "1e-5"]) == 2  # missing --vg
@@ -361,8 +371,7 @@ def test_report_honours_device_mode(tmp_path, trained_checkpoint, small_csvs):
     biases = [l.b for l in model.dense_layers()]
     for leg in ("baseline", "compare"):
         ideal, analytical = reports["ideal_switch"][leg], reports["analytical"][leg]
-        schedule = homogeneous_schedule(model, ideal["v_g"], table, mem,
-                                        grid=grid)
+        schedule = homogeneous_schedule(model, ideal["v_g"], table, mem)
         tilesets = program_model(model, schedule, mem, x_tr)
         direct = network_energy(tilesets, biases, x_te[:20], t,
                                 mode=IDEAL_SWITCH)
@@ -371,6 +380,108 @@ def test_report_honours_device_mode(tmp_path, trained_checkpoint, small_csvs):
         for mode, entry in ((IDEAL_SWITCH, ideal), (ANALYTICAL, analytical)):
             assert entry["accuracy"] == evaluate(
                 model, x_te[:20], y_te[:20], schedule, t, mem, x_tr, mode)
+
+
+def test_report_takes_any_gate_voltage(tmp_path, trained_checkpoint,
+                                       small_csvs):
+    # Cutoffs are solved at the two legs' voltages only, so 0.83 V needs
+    # no grid point.
+    train_csv, test_csv = small_csvs
+    out = tmp_path / "report"
+    assert main(["report", "--checkpoint", trained_checkpoint,
+                 "--compare-vg", "0.83", "--max-samples", "20",
+                 "--data", train_csv, "--test-data", test_csv,
+                 "--out", str(out)]) == 0
+    compare = json.loads((out / "report.json").read_text())["compare"]
+    t, mem = default_device()
+    model = load_checkpoint(trained_checkpoint).model
+    x_tr, _ = read_dataset_csv(train_csv)
+    x_te, y_te = read_dataset_csv(test_csv)
+    schedule = homogeneous_schedule(model, 0.83, cutoff_table([0.83], t, mem),
+                                    mem)
+    direct = network_energy(program_model(model, schedule, mem, x_tr),
+                            [l.b for l in model.dense_layers()], x_te[:20], t)
+    assert compare["v_g"] == 0.83
+    assert compare["total_J"] == direct["total"]
+    assert compare["accuracy"] == np.mean(
+        np.argmax(direct["logits"], axis=1) == y_te[:20])
+
+
+def test_cutoff_ignores_device_file_env(tmp_path, monkeypatch):
+    # The manifest records --device; nothing else may pick the device.
+    other = tmp_path / "other.json"
+    save_device_file(other, TransistorParams(vth=0.77, kp=4e-4),
+                     MemristorParams())
+    assert main(["cutoff", "--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setenv("ONETR_DEVICE_FILE", str(other))
+    assert main(["cutoff", "--out", str(tmp_path / "env")]) == 0
+    for name in ("cutoff_table.csv", "run_manifest.json"):
+        assert ((tmp_path / "plain" / name).read_bytes()
+                == (tmp_path / "env" / name).read_bytes())
+
+
+def test_failed_run_manifest_carries_exit_code(tmp_path, trained_checkpoint,
+                                               schedule_file, small_csvs):
+    train_csv, test_csv = small_csvs
+    argv = ["energy", "--checkpoint", trained_checkpoint, "--schedule",
+            schedule_file, "--out", str(tmp_path), "--data", train_csv,
+            "--test-data", test_csv]
+    manifest = tmp_path / "run_manifest.json"
+    assert main(argv + ["--max-samples", "5"]) == 0
+    assert json.loads(manifest.read_text())["exit_code"] == 0
+    assert main(argv + ["--max-samples", "-5"]) == 4
+    assert json.loads(manifest.read_text())["exit_code"] == 4
+
+
+def _recording_namespace(reads):
+    """An argparse namespace that adds the name of each read to ``reads``."""
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+    return Recording()
+
+
+def test_every_declared_option_is_read(tmp_path, trained_checkpoint,
+                                       schedule_file, small_csvs):
+    # Runs args.func, not main: main's manifest echo reads every field, and
+    # main reads --out itself.
+    train_csv, test_csv = small_csvs
+    data = ["--data", train_csv, "--test-data", test_csv]
+    ckpt = ["--checkpoint", trained_checkpoint]
+    homogeneous = ["--schedule", "homogeneous", "--vg", "0.8",
+                   "--vg-grid", "0.8,1.0"]
+    retrain = ["--iters", "1", "--epochs-per-iter", "1"]
+    forms = {
+        "characterize": [["--gm", "1e-5", "--vg", "0.9"]],
+        "cutoff": [["--vg", "0.8,1.0"]],
+        "power-mc": [["--vg", "0.9", "--rows", "2", "--cols", "2",
+                      "--samples", "2"]],
+        "train": [["--hidden", "4", "--epochs", "1"] + data],
+        "search-vg": [ckpt, ckpt + homogeneous + ["--step-down"],
+                      ckpt + ["--schedule", schedule_file]],
+        "neat": [["--hidden", "4", "--epochs", "1"] + retrain + data,
+                 ckpt + homogeneous + retrain + data],
+        "eval": [ckpt + data, ckpt + ["--mode", "crossbar", "--schedule",
+                                      schedule_file] + data],
+        "energy": [ckpt + ["--schedule", schedule_file,
+                           "--max-samples", "5"] + data],
+        "report": [ckpt + ["--max-samples", "5"] + data],
+    }
+    parser = build_parser()
+    for command, argvs in forms.items():
+        declared, read = set(), set()
+        for i, argv in enumerate(argvs):
+            reads = set()
+            args = parser.parse_args([command] + argv,
+                                     namespace=_recording_namespace(reads))
+            declared |= set(vars(args)) - {"command", "func", "out"}
+            reads.clear()  # parsing reads every field
+            out = tmp_path / f"{command}{i}"
+            out.mkdir()
+            assert args.func(args, out) == 0
+            read |= reads
+        assert declared - read == set(), command
 
 
 def test_failed_write_keeps_previous_artifact(tmp_path):

@@ -204,16 +204,6 @@ def test_device_file_missing_field(tmp_path):
         load_device_file(path)
 
 
-def test_default_device_env_override(tmp_path, monkeypatch):
-    t = TransistorParams(vth=0.77, kp=4e-4)
-    mem = MemristorParams()
-    path = tmp_path / "override.json"
-    save_device_file(path, t, mem)
-    monkeypatch.setenv("ONETR_DEVICE_FILE", str(path))
-    t2, _ = default_device()
-    assert t2.vth == 0.77
-
-
 def test_bundled_devices_load():
     t, mem = default_device()
     assert 0 < mem.g_off < mem.g_on

@@ -86,7 +86,7 @@ def test_model_dict_round_trip():
 def test_adam_single_step_hand_computed():
     w = np.array([1.0])
     g = np.array([0.5])
-    opt = Adam(learning_rate=0.1, beta1=0.9, beta2=0.999)
+    opt = Adam(learning_rate=0.1)
     opt.step([w], [g])
     # Bias-corrected first step moves by lr * g / (|g| + eps) ~ lr.
     assert w[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
