@@ -221,8 +221,8 @@ def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,
         raise DomainError("rows, cols and n_samples must be at least 1")
     if v_supply <= 0:
         raise DomainError("v_supply must be positive")
-    if c_gate < 0 or pulse_width <= 0:
-        raise DomainError("c_gate must be >= 0 and pulse_width > 0")
+    if not (0 <= c_gate < np.inf and 0 < pulse_width < np.inf):  # NaN too
+        raise DomainError("c_gate must be >= 0 and pulse_width > 0, finite")
     scale = mapping.scale_from_range(_MC_WEIGHT_RANGE, mem)
     step = max(1, _MVM_BLOCK_CELLS // (rows * cols))
     per_sample = np.empty(n_samples)

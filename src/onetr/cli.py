@@ -13,6 +13,7 @@ inputs). Errors print a single line ``error: <message>`` on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -29,7 +30,8 @@ from .crossbar import DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH
 from .data import make_blobs, read_dataset_csv
 from .device import (ANALYTICAL, IDEAL_SWITCH, default_device,
                      leakage_stressed_device, load_device_file)
-from .errors import ToolkitError, atomic_write, read_json_object
+from .errors import (DomainError, ToolkitError, atomic_write,
+                     read_json_object, real)
 from .network import Model, TrainConfig, accuracy, train
 from .training import (evaluate, homogeneous_schedule, iterative_train,
                        linear_fraction, load_checkpoint, network_energy,
@@ -42,6 +44,10 @@ MANIFEST_FILE_VERSION = 1
 _DEVICE_MODES = {"analytical": ANALYTICAL, "ideal_switch": IDEAL_SWITCH}
 DEFAULT_VG_GRID = "0.7:1.0:0.05"
 MAX_VG_POINTS = 1024  # longest gate-voltage grid a spec may expand to
+# Declared defaults of the options that some argv forms never read.
+_DEFAULTS = {"schedule": None, "vg": None, "vg_grid": DEFAULT_VG_GRID,
+             "tm": DEFAULT_TM_THRESHOLD, "device": "default",
+             "device_mode": "analytical", "vsupply": DEFAULT_V_SUPPLY}
 
 
 class CliError(Exception):
@@ -80,25 +86,24 @@ def parse_vg_values(text: str):
         raise CliError(2, f"invalid gate-voltage spec {text!r}: {exc}") from exc
 
 
-def _load_device(spec: str):
-    try:
-        if spec == "default":
-            return default_device()
-        if spec == "stressed":
-            return leakage_stressed_device()
-        if not Path(spec).is_file():
-            raise CliError(3, f"device file not found: {spec}")
-        return load_device_file(spec)
-    except OSError as exc:
-        raise CliError(3, f"cannot read device file {spec}: {exc}") from exc
+def _reject_unread(args, form: str, names) -> None:
+    """Exit 2 if an option of ``names``, which ``form`` never reads, is given:
+    that is, set to anything but its declared default."""
+    given = [n for n in names if getattr(args, n) != _DEFAULTS[n]]
+    if given:
+        raise CliError(2, f"{form} does not read " + ", ".join(
+            "--" + n.replace("_", "-") for n in given))
 
 
 def _device(args):
     """``(t, mem)`` from --device; checks --vsupply."""
-    t, mem = _load_device(args.device)
     if not np.isfinite(args.vsupply) or args.vsupply <= 0:
         raise CliError(4, f"vsupply must be positive, got {args.vsupply}")
-    return t, mem
+    if args.device == "default":
+        return default_device()
+    if args.device == "stressed":
+        return leakage_stressed_device()
+    return load_device_file(args.device)  # a missing file exits 3
 
 
 def _load_data(args, model=None, max_samples=0):
@@ -126,19 +131,7 @@ def _load_data(args, model=None, max_samples=0):
     return x_tr, y_tr, x_te, y_te
 
 
-def _require_file(path, what) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise CliError(3, f"{what} not found: {path}")
-    return p
-
-
-def _checkpoint(args):
-    return load_checkpoint(_require_file(args.checkpoint, "checkpoint"))
-
-
 def _read_schedule(path):
-    path = _require_file(path, "schedule file")
     return schedule_from_dict(read_json_object(path))
 
 
@@ -156,22 +149,28 @@ def _load_schedule_for(args, checkpoint):
 
 def _write_json(path, payload) -> None:
     with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        try:
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # a NaN or infinite value
+            raise DomainError(f"{Path(path).name}: {exc}") from exc
         fh.write("\n")
 
 
 def _write_csv(path, header, rows) -> None:
+    name = Path(path).name
     with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow([format(v, ".9g") if isinstance(v, float) else v
-                             for v in row])
+            writer.writerow([format(real(v, name), ".9g")
+                             if isinstance(v, float) else v for v in row])
 
 
 def _write_manifest(out: Path, args, exit_code: int) -> None:
     skip = {"func", "out"}
-    config = {k: v for k, v in sorted(vars(args).items())
+    # JSON has no NaN or Infinity: a non-finite option is echoed as text.
+    config = {k: v if not isinstance(v, float) or np.isfinite(v) else str(v)
+              for k, v in sorted(vars(args).items())
               if k not in skip and not k.startswith("_")}
     _write_json(out / "run_manifest.json", {
         "format_version": MANIFEST_FILE_VERSION,
@@ -183,30 +182,23 @@ def _write_manifest(out: Path, args, exit_code: int) -> None:
     })
 
 
-class _OutputDir:
-    """Creates the output directory and holds its lock for the run."""
-
-    def __init__(self, out):
-        self.path = Path(out)
-        self._fd = None
-
-    def __enter__(self) -> Path:
-        try:
-            self.path.mkdir(parents=True, exist_ok=True)
-            self._fd = os.open(self.path / _LOCK_NAME,
-                               os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError as exc:
-            raise CliError(3, f"output directory {self.path} is locked by "
-                              f"another run (stale? remove {_LOCK_NAME})") from exc
-        except OSError as exc:
-            raise CliError(3, f"cannot prepare output directory: {exc}") from exc
-        return self.path
-
-    def __exit__(self, *exc_info):
-        if self._fd is not None:
-            os.close(self._fd)
-            (self.path / _LOCK_NAME).unlink(missing_ok=True)
-        return False
+@contextlib.contextmanager
+def _output_dir(out):
+    """Create the output directory and hold its lock for the run."""
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path / _LOCK_NAME, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError as exc:
+        raise CliError(3, f"output directory {path} is locked by another run "
+                          f"(stale? remove {_LOCK_NAME})") from exc
+    except OSError as exc:
+        raise CliError(3, f"cannot prepare output directory: {exc}") from exc
+    try:
+        yield path
+    finally:
+        os.close(fd)
+        (path / _LOCK_NAME).unlink(missing_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +250,17 @@ def cmd_power_mc(args, out: Path) -> int:
     return 0
 
 
-def _train_baseline(args):
+def cmd_train(args, out: Path) -> int:
+    try:
+        hidden = [int(h) for h in args.hidden.split(",") if h.strip()]
+    except ValueError as exc:
+        raise CliError(2, f"invalid --hidden {args.hidden!r}: {exc}") from exc
     x_tr, y_tr, x_te, y_te = _load_data(args)
     n_classes = int(max(y_tr.max(), y_te.max())) + 1
-    hidden = [int(h) for h in str(args.hidden).split(",") if h.strip()]
-    dims = [x_tr.shape[1]] + hidden + [n_classes]
     config = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                          batch_size=args.batch, seed=args.seed)
-    model = Model.new(dims, seed=args.seed)
+    model = Model.new([x_tr.shape[1]] + hidden + [n_classes], seed=args.seed)
     train(model, x_tr, y_tr, config)
-    return model, config, (x_tr, y_tr, x_te, y_te)
-
-
-def cmd_train(args, out: Path) -> int:
-    model, config, (x_tr, y_tr, x_te, y_te) = _train_baseline(args)
     save_checkpoint(out / "checkpoint.json", model, config=config)
     metrics = {"train_accuracy": accuracy(model, x_tr, y_tr),
                "test_accuracy": accuracy(model, x_te, y_te)}
@@ -282,31 +271,21 @@ def cmd_train(args, out: Path) -> int:
 
 
 def _build_schedule(args, model, t, mem):
-    """``(table, schedule)``; a schedule file is read as is, with no table."""
-    step_down = getattr(args, "step_down", False)  # a search-vg flag
-    if args.schedule not in ("heterogeneous", "homogeneous"):
-        if step_down:
-            raise CliError(2, "--step-down cannot shift a schedule file")
-        return None, _read_schedule(args.schedule)
+    """``(table, schedule)``: homogeneous at --vg, else searched per layer."""
     table = cutoff_table(parse_vg_values(args.vg_grid), t, mem,
                          tm_threshold=args.tm, v_supply=args.vsupply)
-    if args.schedule == "heterogeneous":
-        schedule = search_heterogeneous_vg(model, table, mem)
-    elif args.vg is None:
-        raise CliError(2, "--vg is required for a homogeneous schedule")
-    else:
-        schedule = homogeneous_schedule(model, args.vg, table, mem)
-    if step_down:
-        schedule = step_down_schedule(schedule, table, mem)
-    return table, schedule
+    if args.vg is None:
+        return table, search_heterogeneous_vg(model, table, mem)
+    return table, homogeneous_schedule(model, args.vg, table, mem)
 
 
 def cmd_search_vg(args, out: Path) -> int:
     t, mem = _device(args)
-    checkpoint = _checkpoint(args)
-    table, schedule = _build_schedule(args, checkpoint.model, t, mem)
-    if table is not None:
-        write_cutoff_csv(table, out / "cutoff_table.csv")
+    model = load_checkpoint(args.checkpoint).model
+    table, schedule = _build_schedule(args, model, t, mem)
+    if args.step_down:
+        schedule = step_down_schedule(schedule, table, mem)
+    write_cutoff_csv(table, out / "cutoff_table.csv")
     _write_json(out / "schedule.json", schedule_to_dict(schedule))
     picks = ", ".join(f"layer{e.layer}={e.v_g:g}" for e in schedule.entries)
     print(f"schedule ({schedule.mode}): {picks}")
@@ -314,15 +293,14 @@ def cmd_search_vg(args, out: Path) -> int:
 
 
 def cmd_neat(args, out: Path) -> int:
-    t, mem = _device(args)
-    if args.checkpoint:
-        model = _checkpoint(args).model
-        x_tr, y_tr, x_te, y_te = _load_data(args, model)
+    model = load_checkpoint(args.checkpoint).model
+    x_tr, y_tr, x_te, y_te = _load_data(args, model)
+    if args.schedule:
+        _reject_unread(args, "neat --schedule",
+                       ("vg", "vg_grid", "tm", "device", "vsupply"))
+        schedule = _read_schedule(args.schedule)
     else:
-        model, base_config, (x_tr, y_tr, x_te, y_te) = _train_baseline(args)
-        save_checkpoint(out / "baseline_checkpoint.json", model,
-                        config=base_config)
-    _, schedule = _build_schedule(args, model, t, mem)
+        _, schedule = _build_schedule(args, model, *_device(args))
     _write_json(out / "schedule.json", schedule_to_dict(schedule))
     config = TrainConfig(learning_rate=args.retrain_lr, epochs=0,
                          batch_size=args.batch, seed=args.seed,
@@ -344,10 +322,12 @@ def cmd_neat(args, out: Path) -> int:
 
 
 def cmd_eval(args, out: Path) -> int:
-    checkpoint = _checkpoint(args)
+    checkpoint = load_checkpoint(args.checkpoint)
     x_tr, y_tr, x_te, y_te = _load_data(args, checkpoint.model)
     payload = {"mode": args.mode, "n_test": int(len(y_te))}
     if args.mode == "software":
+        _reject_unread(args, "eval --mode software",
+                       ("schedule", "device", "device_mode", "vsupply"))
         acc = accuracy(checkpoint.model, x_te, y_te)
     else:
         t, mem = _device(args)
@@ -372,7 +352,7 @@ def _energy(args, t, mem, model, schedule, x_calib, x_eval):
 
 
 def cmd_energy(args, out: Path) -> int:
-    checkpoint = _checkpoint(args)
+    checkpoint = load_checkpoint(args.checkpoint)
     t, mem = _device(args)
     schedule = _load_schedule_for(args, checkpoint)
     x_tr, _, x_eval, _ = _load_data(args, checkpoint.model, args.max_samples)
@@ -389,7 +369,7 @@ def cmd_energy(args, out: Path) -> int:
 
 
 def cmd_report(args, out: Path) -> int:
-    checkpoint = _checkpoint(args)
+    checkpoint = load_checkpoint(args.checkpoint)
     t, mem = _device(args)
     x_tr, _, x_eval, y_eval = _load_data(args, checkpoint.model,
                                          args.max_samples)
@@ -423,13 +403,13 @@ def _add_common(p, device=True, device_mode=True):
     p.add_argument("--out", default="run_out",
                    help="output directory (default: %(default)s)")
     if device:
-        p.add_argument("--device", default="default",
+        p.add_argument("--device", default=_DEFAULTS["device"],
                        help="device parameter file, or 'default'/'stressed' "
                             "for the bundled sets")
         if device_mode:
-            p.add_argument("--device-mode", default="analytical",
+            p.add_argument("--device-mode", default=_DEFAULTS["device_mode"],
                            choices=list(_DEVICE_MODES))
-        p.add_argument("--vsupply", type=float, default=DEFAULT_V_SUPPLY,
+        p.add_argument("--vsupply", type=float, default=_DEFAULTS["vsupply"],
                        help="read supply voltage in V (default %(default)s)")
 
 
@@ -440,23 +420,13 @@ def _add_data(p):
                    help="test-split CSV (default: the training split)")
 
 
-def _add_train_flags(p):
-    p.add_argument("--hidden", default="32",
-                   help="comma list of hidden layer sizes (default %(default)s)")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=32)
-
-
 def _add_schedule_flags(p):
-    p.add_argument("--schedule", default="heterogeneous",
-                   help="'heterogeneous', 'homogeneous', or a schedule.json "
-                        "path (default %(default)s)")
-    p.add_argument("--vg", type=float, default=None,
-                   help="gate voltage for a homogeneous schedule")
-    p.add_argument("--vg-grid", default=DEFAULT_VG_GRID,
+    p.add_argument("--vg", type=float, default=_DEFAULTS["vg"],
+                   help="gate voltage of a homogeneous schedule (default: "
+                        "search one per layer)")
+    p.add_argument("--vg-grid", default=_DEFAULTS["vg_grid"],
                    help="search grid as start:stop:step (default %(default)s)")
-    p.add_argument("--tm", type=float, default=DEFAULT_TM_THRESHOLD,
+    p.add_argument("--tm", type=float, default=_DEFAULTS["tm"],
                    help="tolerance-metric threshold (default %(default)s)")
 
 
@@ -501,7 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_power_mc)
 
     p = sub.add_parser("train", help="train the software baseline network")
-    _add_train_flags(p)
+    p.add_argument("--hidden", default="32",
+                   help="comma list of hidden layer sizes (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=40)
+    p.add_argument("--lr", type=float, default=1e-3)
+    p.add_argument("--batch", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     _add_data(p)
     _add_common(p, device=False)
@@ -518,10 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("neat",
                        help="iterative clip-and-retrain against a schedule")
-    p.add_argument("--checkpoint", default=None,
-                   help="baseline checkpoint (default: train one first)")
+    p.add_argument("--checkpoint", required=True, help="baseline checkpoint")
+    p.add_argument("--schedule", default=_DEFAULTS["schedule"],
+                   help="schedule.json to retrain against (default: build "
+                        "one from the schedule flags)")
     _add_schedule_flags(p)
-    _add_train_flags(p)
+    p.add_argument("--batch", type=int, default=32)
     p.add_argument("--iters", type=int, default=30)
     p.add_argument("--epochs-per-iter", type=int, default=2)
     p.add_argument("--retrain-lr", type=float, default=1e-5)
@@ -534,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--mode", default="software",
                    choices=["software", "crossbar"])
-    p.add_argument("--schedule", default=None,
+    p.add_argument("--schedule", default=_DEFAULTS["schedule"],
                    help="schedule.json (default: the checkpoint's schedule)")
     _add_data(p)
     _add_common(p)
@@ -574,7 +550,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        with _OutputDir(args.out) as out:
+        with _output_dir(args.out) as out:
             exit_code = _run(args, out)
             _write_manifest(out, args, exit_code)
             return exit_code

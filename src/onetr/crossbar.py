@@ -171,8 +171,9 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
 
     Every sum runs per sample, so results do not depend on the slicing.
     """
-    if pulse_width is not None and (pulse_width <= 0 or c_gate < 0):
-        raise DomainError("pulse_width must be > 0 and c_gate >= 0")
+    if pulse_width is not None and not (0 < pulse_width < np.inf
+                                        and 0 <= c_gate < np.inf):  # NaN too
+        raise DomainError("pulse_width must be > 0 and c_gate >= 0, finite")
     g_all = np.concatenate((ts.g_plus, ts.g_minus), axis=1)
     rows, cols = ts.shape
     gain = readout_gain(ts, t, mode, v_supply)

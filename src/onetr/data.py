@@ -71,8 +71,11 @@ def write_dataset_csv(path, x, y) -> None:
 
 def read_dataset_csv(path):
     """Inverse of write_dataset_csv; returns (x, y)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DomainError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
     if not rows or not rows[0] or rows[0][-1] != "label":
         raise DomainError(f"{path}: expected a header ending in 'label'")
     n_feat = len(rows[0]) - 1
@@ -84,8 +87,8 @@ def read_dataset_csv(path):
             raise DomainError(f"{path}:{i}: expected {n_feat + 1} columns")
         try:
             x.append([float(v) for v in row[:-1]])
-            y.append(int(row[-1]))
-        except ValueError as exc:
+            y.append(np.int64(row[-1]))  # a label beyond int64 overflows
+        except (ValueError, OverflowError) as exc:
             raise DomainError(f"{path}:{i}: {exc}") from exc
     if not x:
         raise DomainError(f"{path}: no data rows")

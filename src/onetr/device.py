@@ -206,7 +206,11 @@ def solve_synapse_grid(g_m, v_in, v_g, p: TransistorParams,
         return g_eff * v_in, np.where(on, 0.0, v_in), g_eff
     at_zero = v_in == 0.0
     v_solve = np.where(at_zero, V_EPSILON, v_in)
-    x = _solve_v_internal(g_m, v_solve, v_g, p)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x = _solve_v_internal(g_m, v_solve, v_g, p)
+    except FloatingPointError as exc:  # an operating point beyond float range
+        raise DomainError(f"cell solve failed: {exc}") from exc
     current = (v_solve - x) * np.broadcast_to(g_m, x.shape)
     g_eff = current / v_solve
     return (np.where(at_zero, 0.0, current),

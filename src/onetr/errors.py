@@ -4,6 +4,7 @@ import contextlib
 import json
 import math
 import os
+import sys
 
 
 class ToolkitError(Exception):
@@ -29,16 +30,25 @@ class TrainingDivergedError(ToolkitError):
 def real(value, name: str = "value") -> float:
     """A finite JSON number as a float; else DomainError naming ``name``."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
+            or not abs(value) <= sys.float_info.max):  # NaN, inf, huge int
         raise DomainError(f"{name}: expected a finite number, got {value!r}")
     return float(value)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def read_json_object(path) -> dict:
-    """Load a JSON artifact; invalid JSON or a non-object raises DomainError."""
+    """Load a JSON artifact; invalid JSON (``NaN``, ``Infinity`` and numbers
+    that overflow to infinity included) or a non-object raises DomainError."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_float,
+                            parse_constant=_finite_float)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise DomainError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

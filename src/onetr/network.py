@@ -48,6 +48,8 @@ class Dense:
         self.b = np.asarray(b, dtype=float)
         if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
             raise DomainError("inconsistent dense layer shapes")
+        if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
+            raise DomainError("dense layer parameters must be finite")
         self.dw, self.db = np.zeros_like(self.w), np.zeros_like(self.b)
         self._x = None
 
@@ -183,7 +185,7 @@ class Model:
                 if i < len(raw["layers"]) - 1:
                     layers.append(ReLU())
             return cls(layers)
-        except (IndexError, KeyError, TypeError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed model payload: {exc}") from exc
 
 

@@ -247,19 +247,25 @@ def test_09_gradient_check():
                     assert abs(numeric - ana) / denom < 1e-4
 
 
-def test_10_cli_reruns_are_byte_identical(tmp_path):
+def test_10_cli_reruns_are_byte_identical(tmp_path, monkeypatch):
     with acceptance("10 deterministic CLI artifacts"):
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            rc = cli_main(["neat", "--out", str(out), "--epochs", "6",
-                           "--hidden", "8", "--iters", "3",
-                           "--epochs-per-iter", "1"])
-            assert rc == 0
+            out.mkdir()
+            monkeypatch.chdir(out)  # same relative paths in both manifests
+            assert cli_main(["train", "--out", "train", "--epochs", "6",
+                             "--hidden", "8"]) == 0
+            assert cli_main(["neat", "--out", "neat", "--checkpoint",
+                             "train/checkpoint.json", "--iters", "3",
+                             "--epochs-per-iter", "1"]) == 0
             outs.append(out)
-        names = sorted(p.name for p in outs[0].iterdir())
-        assert names == sorted(p.name for p in outs[1].iterdir())
-        assert "neat_checkpoint.json" in names
-        assert "history.csv" in names
+        names = sorted(str(p.relative_to(outs[0]))
+                       for p in outs[0].rglob("*") if p.is_file())
+        assert names == sorted(str(p.relative_to(outs[1]))
+                               for p in outs[1].rglob("*") if p.is_file())
+        assert "train/checkpoint.json" in names
+        assert "neat/neat_checkpoint.json" in names
+        assert "neat/history.csv" in names
         for name in names:
             assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name

@@ -15,6 +15,7 @@ from onetr import (ANALYTICAL, IDEAL_SWITCH, MemristorParams, TransistorParams,
                    save_device_file, write_dataset_csv)
 from onetr.cli import (MAX_VG_POINTS, CliError, _write_csv, _write_json,
                        build_parser, main, parse_vg_values)
+from onetr.errors import read_json_object
 
 
 @pytest.fixture(scope="module")
@@ -192,26 +193,42 @@ def test_locked_output_dir_is_an_io_error(tmp_path):
     assert main(["cutoff", "--out", str(out)]) == 3
 
 
-def test_usage_errors_exit_2(tmp_path, monkeypatch, trained_checkpoint):
+def test_usage_errors_exit_2(tmp_path, monkeypatch, trained_checkpoint,
+                             schedule_file):
     def no_scan(*args, **kwargs):
         raise AssertionError("a usage error reached the device solver")
 
     monkeypatch.setattr("onetr.cli.cutoff_table", no_scan)
     monkeypatch.setattr("onetr.cli.power_monte_carlo", no_scan)
     huge = "0.7:1.0:1e-7"  # 3,000,001 points
+    ckpt = ["--checkpoint", trained_checkpoint]
+    software = ["eval", *ckpt, "--mode", "software"]
+    from_file = ["neat", *ckpt, "--schedule", schedule_file]
     for i, argv in enumerate((["cutoff", "--vg", "0.9:0.7:0.05"],
                               ["cutoff", "--vg", "abc"],
                               ["cutoff", "--vg", huge],
                               ["power-mc", "--vg", huge],
-                              ["search-vg", "--checkpoint", trained_checkpoint,
-                               "--vg-grid", huge],
+                              ["search-vg", *ckpt, "--vg-grid", huge],
+                              ["train", "--hidden", "abc"],
+                              ["neat", "--iters", "1"],  # no --checkpoint
                               # flags the command would not apply
-                              ["search-vg", "--checkpoint", trained_checkpoint,
-                               "--device-mode", "ideal_switch"],
-                              ["neat", "--device-mode", "ideal_switch"],
-                              ["report", "--checkpoint", trained_checkpoint,
-                               "--vg-grid", "0.8,1.0"])):
-        assert main(argv + ["--out", str(tmp_path / f"run{i}")]) == 2
+                              ["search-vg", *ckpt, "--device-mode",
+                               "ideal_switch"],
+                              ["neat", *ckpt, "--device-mode", "ideal_switch"],
+                              ["report", *ckpt, "--vg-grid", "0.8,1.0"],
+                              ["search-vg", *ckpt, "--schedule", schedule_file],
+                              ["neat", *ckpt, "--hidden", "8"],
+                              # flags this form of the command would not read
+                              [*software, "--schedule", schedule_file],
+                              [*software, "--device", "nosuchfile.json"],
+                              [*software, "--device-mode", "ideal_switch"],
+                              [*software, "--vsupply", "9"],
+                              [*from_file, "--vg", "0.8"],
+                              [*from_file, "--vg-grid", "0.7,0.9"],
+                              [*from_file, "--tm", "0.5"],
+                              [*from_file, "--device", "stressed"],
+                              [*from_file, "--vsupply", "0.3"])):
+        assert main(argv + ["--out", str(tmp_path / f"run{i}")]) == 2, argv
     assert main(["no-such-command"]) == 2
     assert main(["characterize", "--gm", "1e-5"]) == 2  # missing --vg
 
@@ -264,18 +281,17 @@ def test_schedule_file_needs_no_cutoff_table(tmp_path, monkeypatch,
                                              small_csvs):
     train_csv, test_csv = small_csvs
 
-    def no_table(*args, **kwargs):
-        raise AssertionError("a schedule file needs no cutoff table")
+    def unused(*args, **kwargs):
+        raise AssertionError("a schedule file needs no cutoff table or device")
 
-    monkeypatch.setattr("onetr.cli.cutoff_table", no_table)
+    monkeypatch.setattr("onetr.cli.cutoff_table", unused)
+    monkeypatch.setattr("onetr.cli.default_device", unused)
     assert main(["neat", "--checkpoint", trained_checkpoint,
                  "--schedule", schedule_file, "--iters", "1",
                  "--epochs-per-iter", "1", "--data", train_csv,
                  "--test-data", test_csv, "--out", str(tmp_path / "neat")]) == 0
-    # --step-down shifts a searched schedule; it cannot apply to a file.
-    assert main(["search-vg", "--checkpoint", trained_checkpoint,
-                 "--schedule", schedule_file, "--step-down",
-                 "--out", str(tmp_path / "search")]) == 2
+    written = json.loads((tmp_path / "neat" / "schedule.json").read_text())
+    assert written == json.loads(Path(schedule_file).read_text())
 
 
 @pytest.fixture
@@ -328,9 +344,9 @@ def test_malformed_schedule_file_exits_4(tmp_path, malformed_json,
                            ("g_m_cutoff", [1e-5]))]
         + [lambda raw: raw.update(grid=["x"])])
     for i, path in enumerate(malformed_json + edited):
-        assert main(["search-vg", "--checkpoint", trained_checkpoint,
-                     "--schedule", path,
-                     "--out", str(tmp_path / f"search{i}")]) == 4
+        assert main(["energy", "--checkpoint", trained_checkpoint,
+                     "--schedule", path, "--max-samples", "5",
+                     "--out", str(tmp_path / f"energy{i}")] + data) == 4
         assert main(["eval", "--checkpoint", trained_checkpoint,
                      "--mode", "crossbar", "--schedule", path,
                      "--out", str(tmp_path / f"eval{i}")] + data) == 4
@@ -350,6 +366,37 @@ def test_malformed_device_file_exits_4(tmp_path, malformed_json):
     for i, path in enumerate(malformed_json + edited):
         assert main(["cutoff", "--device", path,
                      "--out", str(tmp_path / f"run{i}")]) == 4
+
+
+def test_non_finite_values_exit_4(tmp_path, trained_checkpoint,
+                                  schedule_file, small_csvs):
+    # No artifact may carry NaN or Infinity; a run that would exits 4 and
+    # leaves only its manifest, itself strict JSON.
+    train_csv, test_csv = small_csvs
+    data = ["--data", train_csv, "--test-data", test_csv]
+    ckpt = ["--checkpoint", trained_checkpoint]
+    energy = ["energy", *ckpt, "--schedule", schedule_file,
+              "--max-samples", "5"] + data
+    infinite_weight = _edited_copies(tmp_path, trained_checkpoint, [
+        lambda raw: raw["model"]["layers"][0]["weights"].__setitem__(
+            0, float("inf"))])[0]  # written as the literal Infinity
+    big_label, latin1 = tmp_path / "big_label.csv", tmp_path / "latin1.csv"
+    big_label.write_text("f0,label\n1.0,99999999999999999999999\n")
+    latin1.write_bytes("f0,label\n1.0,0\n\u00e9,1\n".encode("latin-1"))
+    runs = [energy + ["--pulse-width", "nan"], energy + ["--c-gate", "nan"],
+            energy + ["--vsupply", "1e200"],
+            ["power-mc", "--rows", "2", "--cols", "2", "--samples", "2",
+             "--c-gate", "nan"],
+            ["eval", *ckpt, "--mode", "crossbar", "--schedule", schedule_file,
+             "--vsupply", "1e308"] + data,
+            ["eval", "--checkpoint", infinite_weight] + data,
+            ["train", "--epochs", "1", "--data", str(big_label)],
+            ["train", "--epochs", "1", "--data", str(latin1)]]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        assert main(argv + ["--out", str(out)]) == 4, argv
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+        assert read_json_object(out / "run_manifest.json")["exit_code"] == 4
 
 
 def test_report_honours_device_mode(tmp_path, trained_checkpoint, small_csvs):
@@ -444,44 +491,42 @@ def _recording_namespace(reads):
 
 def test_every_declared_option_is_read(tmp_path, trained_checkpoint,
                                        schedule_file, small_csvs):
+    # Each argv form on its own reads every option its command declares.
     # Runs args.func, not main: main's manifest echo reads every field, and
     # main reads --out itself.
     train_csv, test_csv = small_csvs
     data = ["--data", train_csv, "--test-data", test_csv]
     ckpt = ["--checkpoint", trained_checkpoint]
-    homogeneous = ["--schedule", "homogeneous", "--vg", "0.8",
-                   "--vg-grid", "0.8,1.0"]
+    homogeneous = ["--vg", "0.8", "--vg-grid", "0.8,1.0"]
     retrain = ["--iters", "1", "--epochs-per-iter", "1"]
-    forms = {
-        "characterize": [["--gm", "1e-5", "--vg", "0.9"]],
-        "cutoff": [["--vg", "0.8,1.0"]],
-        "power-mc": [["--vg", "0.9", "--rows", "2", "--cols", "2",
-                      "--samples", "2"]],
-        "train": [["--hidden", "4", "--epochs", "1"] + data],
-        "search-vg": [ckpt, ckpt + homogeneous + ["--step-down"],
-                      ckpt + ["--schedule", schedule_file]],
-        "neat": [["--hidden", "4", "--epochs", "1"] + retrain + data,
-                 ckpt + homogeneous + retrain + data],
-        "eval": [ckpt + data, ckpt + ["--mode", "crossbar", "--schedule",
-                                      schedule_file] + data],
-        "energy": [ckpt + ["--schedule", schedule_file,
-                           "--max-samples", "5"] + data],
-        "report": [ckpt + ["--max-samples", "5"] + data],
-    }
+    forms = [
+        ["characterize", "--gm", "1e-5", "--vg", "0.9"],
+        ["cutoff", "--vg", "0.8,1.0"],
+        ["power-mc", "--vg", "0.9", "--rows", "2", "--cols", "2",
+         "--samples", "2"],
+        ["train", "--hidden", "4", "--epochs", "1"] + data,
+        ["search-vg"] + ckpt,
+        ["search-vg"] + ckpt + homogeneous + ["--step-down"],
+        ["neat"] + ckpt + retrain + data,
+        ["neat"] + ckpt + homogeneous + retrain + data,
+        ["neat"] + ckpt + ["--schedule", schedule_file] + retrain + data,
+        ["eval"] + ckpt + data,
+        ["eval"] + ckpt + ["--mode", "crossbar", "--schedule",
+                           schedule_file] + data,
+        ["energy"] + ckpt + ["--schedule", schedule_file,
+                             "--max-samples", "5"] + data,
+        ["report"] + ckpt + ["--max-samples", "5"] + data,
+    ]
     parser = build_parser()
-    for command, argvs in forms.items():
-        declared, read = set(), set()
-        for i, argv in enumerate(argvs):
-            reads = set()
-            args = parser.parse_args([command] + argv,
-                                     namespace=_recording_namespace(reads))
-            declared |= set(vars(args)) - {"command", "func", "out"}
-            reads.clear()  # parsing reads every field
-            out = tmp_path / f"{command}{i}"
-            out.mkdir()
-            assert args.func(args, out) == 0
-            read |= reads
-        assert declared - read == set(), command
+    for i, argv in enumerate(forms):
+        reads = set()
+        args = parser.parse_args(argv, namespace=_recording_namespace(reads))
+        declared = set(vars(args)) - {"command", "func", "out"}
+        reads.clear()  # parsing reads every field
+        out = tmp_path / f"form{i}"
+        out.mkdir()
+        assert args.func(args, out) == 0
+        assert declared - reads == set(), argv
 
 
 def test_failed_write_keeps_previous_artifact(tmp_path):
