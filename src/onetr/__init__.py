@@ -27,8 +27,8 @@ from .errors import (CutoffLookupError, DegenerateLayerError, DomainError,
 from .mapping import (DifferentialPair, LayerScale, WcutSpec, clip_weights,
                       conductance_to_weight, layer_scale, scale_from_range,
                       wcut_from_vg, weight_to_conductance)
-from .network import (Adam, Dense, Model, ReLU, TrainConfig, accuracy,
-                      retrain_config, softmax_cross_entropy, train)
+from .network import (Adam, Dense, Model, TrainConfig, accuracy,
+                      softmax_cross_entropy, train)
 from .training import (Checkpoint, ScheduleEntry, VgSchedule, clip_model,
                        crossbar_forward, evaluate, homogeneous_schedule,
                        iterative_train, linear_fraction, load_checkpoint,

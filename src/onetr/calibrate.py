@@ -67,7 +67,8 @@ def _default_ok(rep: dict) -> bool:
             and rep["window_low_anchored"])
 
 
-def calibrate_default(mem: MemristorParams) -> TransistorParams:
+def calibrate_default(mem: MemristorParams):
+    """``(transistor, shape report)`` of the chosen candidate."""
     best = None
     for kp in _KP_CANDIDATES:
         t = TransistorParams(vth=_VTH, kp=float(kp), lambda_=0.05,
@@ -82,7 +83,7 @@ def calibrate_default(mem: MemristorParams) -> TransistorParams:
     if best is None:
         raise RuntimeError("no transconductance candidate satisfies the "
                            "cutoff-table shape constraints")
-    return best[1]
+    return best[1:]
 
 
 def check_stressed(t: TransistorParams, mem: MemristorParams) -> None:
@@ -97,7 +98,7 @@ def check_stressed(t: TransistorParams, mem: MemristorParams) -> None:
 
 def main() -> int:
     mem = MemristorParams()
-    t_default = calibrate_default(mem)
+    t_default, rep = calibrate_default(mem)
     t_stressed = TransistorParams(kp=t_default.kp, **_STRESSED)
     check_stressed(t_stressed, mem)
 
@@ -113,10 +114,8 @@ def main() -> int:
     save_device_file(params_dir / "device_leakage_stressed.json",
                      t_stressed, mem)
 
-    rep = _shape_report(t_default, mem)
     print(f"default: vth={t_default.vth} kp={t_default.kp:.6g}")
-    for (vg, _), cut in zip(cutoff_table(VG_GRID, t_default, mem).entries,
-                            rep["cutoffs"]):
+    for vg, cut in zip(VG_GRID, rep["cutoffs"]):
         frac = "-" if cut is None else f"{(cut - mem.g_off) / (mem.g_on - mem.g_off):.3f}"
         print(f"  v_g={vg:.2f}  cutoff={cut if cut is None else format(cut, '.6g')}"
               f"  window_fraction={frac}")

@@ -109,8 +109,10 @@ def _device(args):
 def _load_data(args, model=None, max_samples=0):
     """(x_train, y_train, x_test, y_test); bundled blobs unless --data given.
 
-    Both splits must match ``model``'s input width (else the training
-    split's); a positive ``max_samples`` cuts the test split.
+    Both splits must match ``model``'s input width and hold only labels
+    below its output width. Without a model, the training split sets both:
+    every class from 0 to its largest label must occur in it. A positive
+    ``max_samples`` cuts the test split.
     """
     if max_samples < 0:
         raise CliError(4, f"--max-samples must be >= 0, got {max_samples}")
@@ -121,11 +123,20 @@ def _load_data(args, model=None, max_samples=0):
     else:
         ds = make_blobs()
         x_tr, y_tr, x_te, y_te = ds.x_train, ds.y_train, ds.x_test, ds.y_test
-    width = x_tr.shape[1] if model is None else model.dims[0]
-    for split, x in (("training", x_tr), ("test", x_te)):
+    if model is None:
+        width, n_classes = x_tr.shape[1], int(y_tr.max()) + 1
+        if np.unique(y_tr).size != n_classes:
+            raise CliError(4, f"the training split lacks some of the labels "
+                              f"0..{n_classes - 1}")
+    else:
+        width, n_classes = model.dims[0], model.dims[-1]
+    for split, x, y in (("training", x_tr, y_tr), ("test", x_te, y_te)):
         if x.shape[1] != width:
             raise CliError(4, f"the {split} split has {x.shape[1]} features, "
                               f"expected {width}")
+        if y.max() >= n_classes:
+            raise CliError(4, f"the {split} split has label {y.max()}, "
+                              f"expected labels below {n_classes}")
     if max_samples:
         x_te, y_te = x_te[:max_samples], y_te[:max_samples]
     return x_tr, y_tr, x_te, y_te
@@ -256,7 +267,7 @@ def cmd_train(args, out: Path) -> int:
     except ValueError as exc:
         raise CliError(2, f"invalid --hidden {args.hidden!r}: {exc}") from exc
     x_tr, y_tr, x_te, y_te = _load_data(args)
-    n_classes = int(max(y_tr.max(), y_te.max())) + 1
+    n_classes = int(y_tr.max()) + 1
     config = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                          batch_size=args.batch, seed=args.seed)
     model = Model.new([x_tr.shape[1]] + hidden + [n_classes], seed=args.seed)

@@ -197,11 +197,15 @@ def _energy_from_currents(ts, v, current, pulse_width, c_gate):
     """Per-sample resistive read energy plus one gate charge per active row
     in each column of tiles."""
     cols = ts.shape[1]
-    power = v[:, :, None] * current  # (batch, rows, 2*cols)
-    resistive = (power[:, :, :cols].sum(axis=(1, 2))
-                 + power[:, :, cols:].sum(axis=(1, 2)))
     gates = (v > 0.0).sum(axis=1) * -(-cols // ts.tile_cols)
-    return resistive * pulse_width + gates * c_gate * ts.v_g ** 2
+    try:
+        with np.errstate(over="raise"):
+            power = v[:, :, None] * current  # (batch, rows, 2*cols)
+            resistive = (power[:, :, :cols].sum(axis=(1, 2))
+                         + power[:, :, cols:].sum(axis=(1, 2)))
+            return resistive * pulse_width + gates * c_gate * ts.v_g ** 2
+    except FloatingPointError as exc:  # a read beyond float range
+        raise DomainError(f"read energy failed: {exc}") from exc
 
 
 def mvm_nonideal(ts: CrossbarTileSet, activations, t: TransistorParams,

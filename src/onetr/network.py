@@ -1,7 +1,7 @@
 """Small dense classifier trained with analytic gradients.
 
-Plain numpy implementation: fully-connected layers with rectifier
-activations, a softmax cross-entropy head and an adaptive-moment optimizer.
+Plain numpy implementation: dense layers with a rectifier after each but
+the last, a softmax cross-entropy head and an adaptive-moment optimizer.
 Everything is seeded and updates run serially, so two runs from the same
 configuration produce bit-identical parameters.
 """
@@ -33,13 +33,6 @@ class TrainConfig:
             raise DomainError("batch_size must be >= 1")
 
 
-def retrain_config(seed: int = 0, **overrides) -> TrainConfig:
-    """Configuration used by the clip-and-retrain loop."""
-    defaults = dict(learning_rate=1e-5, epochs=0, seed=seed)
-    defaults.update(overrides)
-    return TrainConfig(**defaults)
-
-
 class Dense:
     """Affine layer y = x @ w + b."""
 
@@ -51,7 +44,7 @@ class Dense:
         if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
             raise DomainError("dense layer parameters must be finite")
         self.dw, self.db = np.zeros_like(self.w), np.zeros_like(self.b)
-        self._x = None
+        self.x = None  # input of the latest forward, read by backward
 
     @classmethod
     def init(cls, in_dim: int, out_dim: int, rng) -> "Dense":
@@ -59,34 +52,13 @@ class Dense:
         return cls(w, np.zeros(out_dim))
 
     def forward(self, x):
-        self._x = x
+        self.x = x
         return x @ self.w + self.b
 
     def backward(self, grad_out):
-        np.matmul(self._x.T, grad_out, out=self.dw)
+        np.matmul(self.x.T, grad_out, out=self.dw)
         grad_out.sum(axis=0, out=self.db)
         return grad_out @ self.w.T
-
-    def params(self):
-        return [self.w, self.b]
-
-    def grads(self):
-        return [self.dw, self.db]
-
-
-class ReLU:
-    def forward(self, x):
-        self._mask = x > 0.0
-        return x * self._mask
-
-    def backward(self, grad_out):
-        return grad_out * self._mask
-
-    def params(self):
-        return []
-
-    def grads(self):
-        return []
 
 
 def softmax_cross_entropy(logits, labels):
@@ -103,15 +75,17 @@ def softmax_cross_entropy(logits, labels):
 
 
 class Model:
-    """Dense / ReLU stack ending in raw logits; each dense ``w``/``b``
-    (``dw``/``db``) views one ``flat_params`` (``flat_grads``) buffer."""
+    """Dense layers with a ReLU after each but the last, ending in raw
+    logits; each layer's ``w``/``b`` (``dw``/``db``) views one
+    ``flat_params`` (``flat_grads``) buffer."""
 
     def __init__(self, layers):
         self.layers = list(layers)
-        self.flat_params = np.concatenate([p.ravel() for p in self.params()])
+        self.flat_params = np.concatenate(
+            [p.ravel() for l in self.layers for p in (l.w, l.b)])
         self.flat_grads = np.zeros_like(self.flat_params)
         start = 0
-        for layer in self.dense_layers():
+        for layer in self.layers:
             for name in ("w", "b"):
                 shape = getattr(layer, name).shape
                 stop = start + int(np.prod(shape))
@@ -125,66 +99,55 @@ class Model:
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise DomainError("dims must list at least input and output sizes")
         rng = np.random.default_rng(seed)
-        layers = []
-        for i in range(len(dims) - 1):
-            layers.append(Dense.init(dims[i], dims[i + 1], rng))
-            if i < len(dims) - 2:
-                layers.append(ReLU())
-        return cls(layers)
+        return cls([Dense.init(dims[i], dims[i + 1], rng)
+                    for i in range(len(dims) - 1)])
 
     def dense_layers(self):
-        return [l for l in self.layers if isinstance(l, Dense)]
+        return self.layers
 
     @property
     def dims(self):
-        dense = self.dense_layers()
-        return [dense[0].w.shape[0]] + [l.w.shape[1] for l in dense]
+        return [self.layers[0].w.shape[0]] + [l.w.shape[1] for l in self.layers]
 
     def forward(self, x):
+        """Logits; every layer keeps its input (``layer.x``) for backward."""
         out = np.asarray(x, dtype=float)
-        for layer in self.layers:
+        for layer in self.layers[:-1]:
             out = layer.forward(out)
-        return out
+            out = out * (out > 0.0)  # ReLU
+        return self.layers[-1].forward(out)
 
     def predict(self, x):
         return np.argmax(self.forward(x), axis=1)
 
     def loss_and_gradients(self, x, y):
         loss, grad = softmax_cross_entropy(self.forward(x), y)
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
+            grad = grad * (layer.x > 0.0)  # the ReLU mask of its input
+        self.layers[0].backward(grad)
         return loss
-
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
-
-    def grads(self):
-        return [g for layer in self.layers for g in layer.grads()]
 
     def copy(self) -> "Model":
         # Model() packs fresh buffers, so the layers need not copy.
-        return Model([Dense(l.w, l.b) if isinstance(l, Dense) else ReLU()
-                      for l in self.layers])
+        return Model([Dense(l.w, l.b) for l in self.layers])
 
     def to_dict(self) -> dict:
         return {
             "dims": self.dims,
             "layers": [{"weights": l.w.flatten().tolist(),  # row-major
                         "biases": l.b.tolist()}
-                       for l in self.dense_layers()],
+                       for l in self.layers],
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Model":
         try:
             dims = raw["dims"]
-            layers = []
-            for i, spec in enumerate(raw["layers"]):
-                w = np.asarray(spec["weights"], dtype=float).reshape(dims[i], dims[i + 1])
-                layers.append(Dense(w, np.asarray(spec["biases"], dtype=float)))
-                if i < len(raw["layers"]) - 1:
-                    layers.append(ReLU())
-            return cls(layers)
+            return cls([Dense(np.asarray(spec["weights"], dtype=float)
+                              .reshape(dims[i], dims[i + 1]),
+                              np.asarray(spec["biases"], dtype=float))
+                        for i, spec in enumerate(raw["layers"])])
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed model payload: {exc}") from exc
 
@@ -202,20 +165,19 @@ class Adam:
         self._m = None
         self._v = None
 
-    def step(self, params, grads):
+    def step(self, p, g):
+        """Updates the array ``p`` in place from its gradient ``g``."""
         if self._m is None:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+            self._m, self._v = np.zeros_like(p), np.zeros_like(p)
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, g, m, v in zip(params, grads, self._m, self._v):
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.t)
-            v_hat = v / (1 - b2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** self.t)
+        v_hat = v / (1 - b2 ** self.t)
+        p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def train(model: Model, x, y, config: TrainConfig, rng=None,
@@ -242,7 +204,7 @@ def train(model: Model, x, y, config: TrainConfig, rng=None,
             loss = model.loss_and_gradients(xs[start:stop], ys[start:stop])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"loss became {loss}")
-            optimizer.step([model.flat_params], [model.flat_grads])
+            optimizer.step(model.flat_params, model.flat_grads)
     return model
 
 

@@ -27,7 +27,7 @@ from .crossbar import (DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH,
 from .device import ANALYTICAL, DeviceMode, MemristorParams, TransistorParams
 from .errors import DomainError, atomic_write, read_json_object, real
 from .mapping import layer_scale, scale_from_range, wcut_from_vg
-from .network import Dense, Model, TrainConfig, accuracy, train
+from .network import Model, TrainConfig, accuracy, train
 
 CHECKPOINT_FILE_VERSION = 1
 DEFAULT_PERCENTILE = 99.9  # calibration percentile for read-voltage scaling
@@ -70,8 +70,12 @@ def schedule_to_dict(schedule: VgSchedule) -> dict:
     }
 
 
-def _entry_from_dict(raw: dict) -> ScheduleEntry:
+def _entry_from_dict(position: int, raw: dict) -> ScheduleEntry:
     e = ScheduleEntry(**raw)
+    if type(e.layer) is not int or e.layer != position:  # not a bool
+        raise ValueError(f"entry {position} has layer {e.layer!r}")
+    if e.flag not in (FLAG_NONE, FLAG_FIRST_COVERS, FLAG_NO_COVERAGE):
+        raise ValueError(f"unknown flag {e.flag!r}")
     v_g, w_cut, w_r = (real(getattr(e, k), k)
                        for k in ("v_g", "w_cut", "w_r"))
     if e.g_m_cutoff is not None:
@@ -83,7 +87,8 @@ def _entry_from_dict(raw: dict) -> ScheduleEntry:
 
 def schedule_from_dict(raw: dict) -> VgSchedule:
     try:
-        entries = tuple(_entry_from_dict(e) for e in raw["entries"])
+        entries = tuple(_entry_from_dict(i, e)
+                        for i, e in enumerate(raw["entries"]))
         grid = tuple(real(v, "grid") for v in raw["grid"])
         return VgSchedule(raw["mode"], grid, entries)
     except (KeyError, TypeError, ValueError) as exc:
@@ -233,17 +238,6 @@ def iterative_train(model: Model, schedule: VgSchedule, x, y,
     return model, history
 
 
-def _dense_inputs(model: Model, x):
-    """Input activations seen by each dense layer on the given batch."""
-    acts = np.asarray(x, dtype=float)
-    inputs = []
-    for layer in model.layers:
-        if isinstance(layer, Dense):
-            inputs.append(acts)
-        acts = layer.forward(acts)
-    return inputs
-
-
 def program_model(model: Model, schedule: VgSchedule, mem: MemristorParams,
                   calib_x):
     """Programs every dense layer onto crossbar tiles.
@@ -256,10 +250,10 @@ def program_model(model: Model, schedule: VgSchedule, mem: MemristorParams,
     calib_x = np.asarray(calib_x, dtype=float)
     if calib_x.ndim != 2 or calib_x.shape[0] < 1:
         raise DomainError("calibration batch must be (samples, features)")
+    model.forward(calib_x)  # each layer keeps its input as ``layer.x``
     tilesets = []
-    for layer, e, acts in zip(dense, schedule.entries,
-                              _dense_inputs(model, calib_x)):
-        a_max = float(np.percentile(acts, DEFAULT_PERCENTILE))
+    for layer, e in zip(dense, schedule.entries):
+        a_max = float(np.percentile(layer.x, DEFAULT_PERCENTILE))
         if a_max <= 0 or not np.isfinite(a_max):
             raise DomainError(
                 f"layer {e.layer}: calibration activations give "

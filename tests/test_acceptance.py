@@ -16,7 +16,7 @@ from onetr import (IDEAL_SWITCH, Model, TrainConfig, WcutSpec, accuracy,
                    clip_model, clip_weights, cutoff_table, evaluate,
                    find_gm_cutoff, homogeneous_schedule, iterative_train,
                    linear_fraction, mvm_nonideal, network_energy,
-                   power_monte_carlo, program, program_model, retrain_config,
+                   power_monte_carlo, program, program_model,
                    scale_from_range, search_heterogeneous_vg, solve_synapse_grid,
                    train, transistor_current)
 from onetr.calibrate import VG_GRID
@@ -167,7 +167,8 @@ def test_06_retrain_recovers_clipped_network(device, table, blobs,
         # (a) searched schedule: most weights end up inside the window
         model, _ = iterative_train(baseline_model.copy(), het_schedule,
                                    blobs.x_train, blobs.y_train,
-                                   retrain_config(seed=0))
+                                   TrainConfig(learning_rate=1e-5, epochs=0,
+                                               seed=0))
         _, overall = linear_fraction(model, het_schedule)
         assert overall >= 0.95
 
@@ -182,7 +183,8 @@ def test_06_retrain_recovers_clipped_network(device, table, blobs,
                                       low, t, mem, blobs.x_train))
             retrained, _ = iterative_train(base.copy(), low, blobs.x_train,
                                            blobs.y_train,
-                                           retrain_config(seed=seed))
+                                           TrainConfig(learning_rate=1e-5,
+                                                       epochs=0, seed=seed))
             neat_accs.append(evaluate(retrained, blobs.x_test, blobs.y_test,
                                       low, t, mem, blobs.x_train))
         assert np.mean(neat_accs) > np.mean(clip_accs)
@@ -229,9 +231,11 @@ def test_09_gradient_check():
             x = rng.normal(size=(4, dims[0]))
             y = rng.integers(0, dims[-1], 4)
             model.loss_and_gradients(x, y)
-            analytic = [g.copy() for g in model.grads()]
+            # Each layer's w and b with a copy of its analytic gradient.
+            analytic = [(p, g.copy()) for l in model.dense_layers()
+                        for p, g in ((l.w, l.dw), (l.b, l.db))]
             h = 1e-6
-            for p, g in zip(model.params(), analytic):
+            for p, g in analytic:
                 flat = p.reshape(-1)
                 for idx in rng.choice(flat.size, size=min(5, flat.size),
                                       replace=False):

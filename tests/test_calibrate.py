@@ -9,7 +9,7 @@ from onetr.calibrate import _STRESSED, calibrate_default, check_stressed
 def test_calibration_reproduces_bundled_files(tmp_path):
     # The same steps as ``python -m onetr.calibrate``, written to tmp_path.
     mem = MemristorParams()
-    t_default = calibrate_default(mem)
+    t_default, _ = calibrate_default(mem)
     t_stressed = TransistorParams(kp=t_default.kp, **_STRESSED)
     check_stressed(t_stressed, mem)
     bundled = resources.files("onetr").joinpath("params")

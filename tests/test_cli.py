@@ -276,6 +276,30 @@ def test_data_width_mismatch_exits_4(tmp_path, trained_checkpoint,
                  "--test-data", narrow, "--out", str(tmp_path / "t")]) == 4
 
 
+def test_labels_must_fit_the_network(tmp_path, trained_checkpoint,
+                                     small_csvs):
+    # A label the output layer cannot score, or a class gap that would size
+    # the output layer, exits 4 before any artifact but the manifest.
+    train_csv, test_csv = small_csvs
+    x, y = read_dataset_csv(test_csv)
+    label5 = str(tmp_path / "label5.csv")
+    write_dataset_csv(label5, x, np.where(np.arange(len(y)) == 3, 5, y))
+    two_rows = tmp_path / "two_rows.csv"
+    two_rows.write_text("f0,label\n1.0,0\n2.0,20000\n")
+    ckpt = ["--checkpoint", trained_checkpoint]
+    runs = [["neat", *ckpt, "--iters", "1", "--data", label5],
+            ["neat", *ckpt, "--iters", "1", "--data", train_csv,
+             "--test-data", label5],
+            ["eval", *ckpt, "--data", train_csv, "--test-data", label5],
+            ["train", "--epochs", "1", "--data", str(two_rows)],
+            ["train", "--epochs", "1", "--data", train_csv,
+             "--test-data", label5]]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        assert main(argv + ["--out", str(out)]) == 4, argv
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+
+
 def test_schedule_file_needs_no_cutoff_table(tmp_path, monkeypatch,
                                              trained_checkpoint, schedule_file,
                                              small_csvs):
@@ -341,7 +365,8 @@ def test_malformed_schedule_file_exits_4(tmp_path, malformed_json,
             {key: value})
         for key, value in (("w_cut", -1), ("w_cut", 2.0 * w_r), ("v_g", "x"),
                            ("v_g", -0.1), ("w_r", 0.0), ("w_r", None),
-                           ("g_m_cutoff", [1e-5]))]
+                           ("g_m_cutoff", [1e-5]), ("layer", "x"),
+                           ("layer", 7), ("layer", True), ("flag", [1]))]
         + [lambda raw: raw.update(grid=["x"])])
     for i, path in enumerate(malformed_json + edited):
         assert main(["energy", "--checkpoint", trained_checkpoint,
@@ -385,6 +410,9 @@ def test_non_finite_values_exit_4(tmp_path, trained_checkpoint,
     latin1.write_bytes("f0,label\n1.0,0\n\u00e9,1\n".encode("latin-1"))
     runs = [energy + ["--pulse-width", "nan"], energy + ["--c-gate", "nan"],
             energy + ["--vsupply", "1e200"],
+            energy + ["--vsupply", "1e200", "--device-mode", "ideal_switch"],
+            ["report", *ckpt, "--vsupply", "1e200", "--device-mode",
+             "ideal_switch", "--max-samples", "5"] + data,
             ["power-mc", "--rows", "2", "--cols", "2", "--samples", "2",
              "--c-gate", "nan"],
             ["eval", *ckpt, "--mode", "crossbar", "--schedule", schedule_file,

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from onetr import (Adam, Dense, DomainError, Model, ReLU, TrainConfig,
+from onetr import (Adam, Dense, DomainError, Model, TrainConfig,
                    TrainingDivergedError, accuracy, clip_model,
-                   load_checkpoint, retrain_config, save_checkpoint,
-                   softmax_cross_entropy, train)
+                   load_checkpoint, save_checkpoint, softmax_cross_entropy,
+                   train)
+from onetr.cli import build_parser
 from onetr.training import ScheduleEntry, VgSchedule
 
 
@@ -19,10 +20,9 @@ def test_train_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(DomainError):
         TrainConfig(n_iterations=-1)
-    cfg = retrain_config(seed=4, n_iterations=12)
-    assert cfg.learning_rate == 1e-5
-    assert cfg.seed == 4
-    assert cfg.n_iterations == 12
+    # Clip-and-retrain (the neat command) runs at 1e-5 by default.
+    args = build_parser().parse_args(["neat", "--checkpoint", "c.json"])
+    assert args.retrain_lr == 1e-5
 
 
 def test_dense_forward_is_affine():
@@ -33,12 +33,17 @@ def test_dense_forward_is_affine():
 
 
 def test_relu_masks_gradient():
-    relu = ReLU()
+    # Identity layers: the hidden pre-activation is x itself.
+    model = Model([Dense(np.eye(3), np.zeros(3)),
+                   Dense(np.eye(3), np.zeros(3))])
+    first, second = model.dense_layers()
     x = np.array([[-1.0, 0.0, 2.0]])
-    out = relu.forward(x)
-    assert np.array_equal(out, [[0.0, 0.0, 2.0]])
-    grad = relu.backward(np.ones_like(x))
-    assert np.array_equal(grad, [[0.0, 0.0, 1.0]])
+    assert np.array_equal(model.forward(x), [[0.0, 0.0, 2.0]])
+    assert np.array_equal(second.x, [[0.0, 0.0, 2.0]])
+    model.loss_and_gradients(x, np.array([1]))
+    # The hidden gradient is the logits' gradient (second.db) masked.
+    assert np.all(second.db != 0.0)
+    assert np.array_equal(first.db, second.db * [0.0, 0.0, 1.0])
 
 
 def test_softmax_cross_entropy_matches_manual():
@@ -87,7 +92,7 @@ def test_adam_single_step_hand_computed():
     w = np.array([1.0])
     g = np.array([0.5])
     opt = Adam(learning_rate=0.1)
-    opt.step([w], [g])
+    opt.step(w, g)
     # Bias-corrected first step moves by lr * g / (|g| + eps) ~ lr.
     assert w[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
 
@@ -222,29 +227,38 @@ def test_training_matches_per_parameter_reference(blobs):
         assert np.array_equal(layer.b, b)
 
 
+def _params(model):
+    return [p for l in model.dense_layers() for p in (l.w, l.b)]
+
+
+def _grads(model):
+    return [g for l in model.dense_layers() for g in (l.dw, l.db)]
+
+
 def test_flat_buffers_back_every_layer(tmp_path):
     model = Model.new([6, 5, 4, 3], seed=2)
     save_checkpoint(tmp_path / "ckpt.json", model)
     for m in (model, model.copy(), Model.from_dict(model.to_dict()),
               load_checkpoint(tmp_path / "ckpt.json").model):
         assert m.flat_params.shape == m.flat_grads.shape == (
-            sum(p.size for p in m.params()),)
+            sum(p.size for p in _params(m)),)
         for layer in m.dense_layers():
             for p, buf in ((layer.w, m.flat_params), (layer.b, m.flat_params),
                            (layer.dw, m.flat_grads), (layer.db, m.flat_grads)):
                 assert np.shares_memory(p, buf)
         assert np.array_equal(
-            m.flat_params, np.concatenate([p.ravel() for p in m.params()]))
+            m.flat_params, np.concatenate([p.ravel() for p in _params(m)]))
         assert not np.shares_memory(m.flat_params, model.copy().flat_params)
     # Clipping in place must reach the buffer the optimizer updates.
     entries = tuple(ScheduleEntry(i, 0.8, 0.05, 1.0, None) for i in range(3))
     clip_model(model, VgSchedule("homogeneous", (0.8,), entries))
     assert np.abs(model.flat_params[:6 * 5]).max() == 0.05
     assert np.array_equal(
-        model.flat_params, np.concatenate([p.ravel() for p in model.params()]))
-    # Gradients land in flat_grads, in params() order.
+        model.flat_params,
+        np.concatenate([p.ravel() for p in _params(model)]))
+    # Gradients land in flat_grads, in (w, b) per layer order.
     x = np.random.default_rng(0).normal(size=(4, 6))
     model.loss_and_gradients(x, np.array([0, 1, 2, 0]))
     assert np.array_equal(
-        model.flat_grads, np.concatenate([g.ravel() for g in model.grads()]))
+        model.flat_grads, np.concatenate([g.ravel() for g in _grads(model)]))
     assert np.any(model.flat_grads != 0.0)

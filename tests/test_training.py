@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, Model, WcutSpec,
-                   clip_model, crossbar_forward, cutoff_table, evaluate,
-                   homogeneous_schedule, iterative_train, linear_fraction,
-                   load_checkpoint, mvm_energy_batch, mvm_nonideal_batch,
-                   network_energy, program_model, retrain_config,
+from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, Model, TrainConfig,
+                   WcutSpec, clip_model, crossbar_forward, cutoff_table,
+                   evaluate, homogeneous_schedule, iterative_train,
+                   linear_fraction, load_checkpoint, mvm_energy_batch,
+                   mvm_nonideal_batch, network_energy, program_model,
                    save_checkpoint, schedule_from_dict, schedule_to_dict,
                    search_heterogeneous_vg, step_down_schedule)
 from onetr.training import FLAG_FIRST_COVERS, FLAG_NO_COVERAGE, VgSchedule
@@ -115,7 +115,7 @@ def test_schedule_alignment_is_checked(het_schedule):
 
 def test_iterative_train_history_and_determinism(baseline_model, het_schedule,
                                                  blobs):
-    cfg = retrain_config(seed=0, n_iterations=3)
+    cfg = TrainConfig(learning_rate=1e-5, epochs=0, seed=0, n_iterations=3)
     runs = []
     for _ in range(2):
         model, history = iterative_train(baseline_model.copy(), het_schedule,
@@ -200,7 +200,7 @@ def test_network_energy_is_one_forward_pass(baseline_model, het_schedule,
 
 def test_checkpoint_round_trip(tmp_path, baseline_model, het_schedule):
     path = tmp_path / "checkpoint.json"
-    cfg = retrain_config(seed=3)
+    cfg = TrainConfig(learning_rate=1e-5, epochs=0, seed=3)
     history = [{"iteration": 1, "accuracy": 0.9, "linear_fraction": 0.8}]
     save_checkpoint(path, baseline_model, schedule=het_schedule, config=cfg,
                     history=history)
