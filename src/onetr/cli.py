@@ -396,6 +396,9 @@ def cmd_report(args, out: Path) -> int:
                 "per_sample_J": energy["total"] / int(x_eval.shape[0])}
 
     baseline = leg(args.baseline_vg)
+    if baseline["total_J"] == 0.0:  # e.g. every cell off, no gate charge
+        raise CliError(4, f"the baseline at {args.baseline_vg} V reads zero "
+                          "energy, so no energy gain is defined")
     compare = leg(args.compare_vg)
     gain = 100.0 * (baseline["total_J"] - compare["total_J"]) / baseline["total_J"]
     payload = {"baseline": baseline, "compare": compare,

@@ -13,6 +13,12 @@ of the effective-conductance transfer between ``g_off`` and the clip-level
 conductance, measured at full read voltage.  This removes the systematic
 series attenuation of the access transistor (an ideal switch calibrates to
 exactly one); the data-dependent residue is what the tolerance metric bounds.
+
+The analytical read solves each distinct cell operating point once: a cell
+read at zero volts carries no current, and the resting side of every pair
+sits at exactly ``g_off``, so one solve per (sample, row) serves all of its
+resting cells.  The solver stops each cell on its own test, so the currents
+equal those of solving every cell, bit for bit.
 """
 
 from __future__ import annotations
@@ -167,9 +173,16 @@ def _slice_samples(rows: int, cols: int) -> int:
 
 
 def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
-    """One cell solve of (batch, rows) read voltages, in batch slices.
+    """Cell currents of (batch, rows) read voltages, in batch slices.
 
-    Every sum runs per sample, so results do not depend on the slicing.
+    Each slice fills a whole (batch, rows, 2*cols) current array for the
+    column sums and the energy: in closed form for the ideal switch; for the
+    analytical model, by solving, for each (sample, row) read at a nonzero
+    voltage, its cells off ``g_off`` and one ``g_off`` cell that every
+    resting cell of the row shares.  The currents equal those of solving
+    every cell (see the module docstring).  The slice bound still counts the
+    layer's cells, and every sum runs per sample, so results do not depend
+    on the slicing.
     """
     if pulse_width is not None and not (0 < pulse_width < np.inf
                                         and 0 <= c_gate < np.inf):  # NaN too
@@ -178,10 +191,34 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     rows, cols = ts.shape
     gain = readout_gain(ts, t, mode, v_supply)
     step = _slice_samples(rows, cols)
+    g_off = ts.scale.g_off
+    live = g_all != g_off  # the cells a row's g_off solve cannot stand for
+    n_live, live_col = live.sum(axis=1), np.nonzero(live)[1]  # row-major
+    g_live = g_all[live]
+    live_start = np.cumsum(n_live) - n_live  # each row's first in g_live
     col_current, energy = [], []
     for s in range(0, max(v.shape[0], 1), step):  # an empty batch: 1 slice
         vs = v[s:s + step]
-        current = solve_synapse_grid(g_all, vs[:, :, None], ts.v_g, t, mode)[0]
+        if mode.variant == "ideal_switch":
+            current = solve_synapse_grid(g_all, vs[:, :, None], ts.v_g, t,
+                                         mode)[0]
+        else:
+            # The (sample, row) pairs read at a nonzero voltage and, for
+            # each, the live cells of its row as indices into g_live.
+            pair = np.flatnonzero(vs > 0.0)
+            row, v_pair = pair % rows, vs.reshape(-1)[pair]
+            n = n_live[row]
+            cell = (np.repeat(live_start[row] - (np.cumsum(n) - n), n)
+                    + np.arange(n.sum()))
+            i = solve_synapse_grid(
+                np.concatenate((g_live[cell], np.full(pair.size, g_off))),
+                np.concatenate((np.repeat(v_pair, n), v_pair)),
+                ts.v_g, t, mode)[0]
+            current = np.zeros((vs.shape[0], rows, 2 * cols))
+            line = current.reshape(-1, 2 * cols)  # one per (sample, row)
+            line[pair] = i[cell.size:, None]  # the row's g_off current
+            line.reshape(-1)[np.repeat(pair * 2 * cols, n)
+                             + live_col[cell]] = i[:cell.size]
         col_current.append(current.sum(axis=1))  # fixed global row order
         if pulse_width is not None:
             energy.append(_energy_from_currents(ts, vs, current,

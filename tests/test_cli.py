@@ -393,10 +393,10 @@ def test_malformed_device_file_exits_4(tmp_path, malformed_json):
                      "--out", str(tmp_path / f"run{i}")]) == 4
 
 
-def test_non_finite_values_exit_4(tmp_path, trained_checkpoint,
+def test_non_finite_values_exit_4(tmp_path, capsys, trained_checkpoint,
                                   schedule_file, small_csvs):
-    # No artifact may carry NaN or Infinity; a run that would exits 4 and
-    # leaves only its manifest, itself strict JSON.
+    # No artifact may carry NaN or Infinity; a run that would exits 4 with
+    # one error line and leaves only its manifest, itself strict JSON.
     train_csv, test_csv = small_csvs
     data = ["--data", train_csv, "--test-data", test_csv]
     ckpt = ["--checkpoint", trained_checkpoint]
@@ -413,6 +413,11 @@ def test_non_finite_values_exit_4(tmp_path, trained_checkpoint,
             energy + ["--vsupply", "1e200", "--device-mode", "ideal_switch"],
             ["report", *ckpt, "--vsupply", "1e200", "--device-mode",
              "ideal_switch", "--max-samples", "5"] + data,
+            # Every cell is off below vth and gates cost nothing: the
+            # baseline energy is zero and the gain would divide by it.
+            ["report", *ckpt, "--device-mode", "ideal_switch",
+             "--baseline-vg", "0.5", "--compare-vg", "0.4", "--c-gate", "0",
+             "--max-samples", "5"] + data,
             ["power-mc", "--rows", "2", "--cols", "2", "--samples", "2",
              "--c-gate", "nan"],
             ["eval", *ckpt, "--mode", "crossbar", "--schedule", schedule_file,
@@ -422,7 +427,9 @@ def test_non_finite_values_exit_4(tmp_path, trained_checkpoint,
             ["train", "--epochs", "1", "--data", str(latin1)]]
     for i, argv in enumerate(runs):
         out = tmp_path / f"run{i}"
+        capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 4, argv
+        assert len(capsys.readouterr().err.splitlines()) == 1, argv
         assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
         assert read_json_object(out / "run_manifest.json")["exit_code"] == 4
 

@@ -7,8 +7,8 @@ import pytest
 
 from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, WcutSpec,
                    mvm_energy, mvm_ideal, mvm_nonideal, mvm_nonideal_batch,
-                   program, readout_gain, scale_from_range, sweep_geff,
-                   tolerance_metric)
+                   program, readout_gain, scale_from_range,
+                   solve_synapse_grid, sweep_geff, tolerance_metric)
 from onetr import crossbar
 
 TM_THRESHOLD = 0.025
@@ -154,20 +154,78 @@ def test_batch_slicing_is_bit_identical(monkeypatch, device, table, mode):
     per_sample = 2 * 12 * 6
     monkeypatch.setattr(crossbar, "_MVM_BLOCK_CELLS", 3 * per_sample + 10)
     sizes = []
-    solve = crossbar.solve_synapse_grid
+    energy = crossbar._energy_from_currents  # called once per batch slice
 
-    def recording(g_m, v_in, *args):
-        if np.ndim(v_in) == 3:
-            sizes.append(np.shape(v_in)[0])
-        return solve(g_m, v_in, *args)
+    def recording(ts, v, *args):
+        sizes.append(v.shape[0])
+        return energy(ts, v, *args)
 
-    monkeypatch.setattr(crossbar, "solve_synapse_grid", recording)
+    monkeypatch.setattr(crossbar, "_energy_from_currents", recording)
     sliced = mvm_nonideal_batch(ts, batch, t, mode=mode, pulse_width=1e-9)
     assert sizes == [3, 3, 1]
     assert np.array_equal(sliced.outputs, whole.outputs)
     assert np.array_equal(sliced.column_currents, whole.column_currents)
     assert np.array_equal(sliced.energy, whole.energy)
     assert whole.energy.shape == (7,)
+
+
+def _every_cell_solved(ts, x, t, mode, v_supply, pulse_width, c_gate):
+    """The forward with every cell solved in one broadcast: column sums in
+    global row order and the same energy formula."""
+    v = np.clip(x / ts.a_max, 0.0, 1.0) * v_supply
+    cols = ts.shape[1]
+    g_all = np.concatenate((ts.g_plus, ts.g_minus), axis=1)
+    current = solve_synapse_grid(g_all, v[:, :, None], ts.v_g, t, mode)[0]
+    col = current.sum(axis=1)
+    i_plus, i_minus = col[:, :cols], col[:, cols:]
+    gain = readout_gain(ts, t, mode, v_supply)
+    outputs = (i_plus - i_minus) * (ts.scale.k_readout * gain * ts.a_max
+                                    / v_supply)
+    power = v[:, :, None] * current
+    resistive = (power[:, :, :cols].sum(axis=(1, 2))
+                 + power[:, :, cols:].sum(axis=(1, 2)))
+    gates = (v > 0.0).sum(axis=1) * -(-cols // ts.tile_cols)
+    energy = resistive * pulse_width + gates * c_gate * ts.v_g ** 2
+    return outputs, np.stack([i_plus, i_minus], axis=-1), energy
+
+
+@pytest.mark.parametrize("mode", [ANALYTICAL, IDEAL_SWITCH])
+@pytest.mark.parametrize("which", ["device", "stressed"])
+def test_forward_equals_every_cell_solved(monkeypatch, request, mode, which):
+    # The analytical forward solves no zero-input cell and one g_off cell
+    # per (sample, row); its results must equal solving every cell.
+    t, mem = request.getfixturevalue(which)
+    rng = np.random.default_rng(12)
+    w = rng.normal(size=(23, 11))
+    w[:, [2, 7]] = 0.0  # both sides of these pairs rest at g_off
+    scale = scale_from_range(float(np.max(np.abs(w))), mem)
+    ts = program(w, WcutSpec(0.8, 0.6 * scale.w_r, None), scale, a_max=1.5,
+                 tile_rows=5, tile_cols=3)
+    assert 0.0 < ts.clipped_fraction < 0.5
+    x = rng.uniform(-0.5, 2.0, (9, 23))  # negatives read as zero
+    x[[1, 6]] = 0.0  # all-zero samples
+    x[rng.random(x.shape) < 0.3] = 0.0  # scattered zero inputs
+    # Three samples per slice, the last slice partial.
+    monkeypatch.setattr(crossbar, "_MVM_BLOCK_CELLS", 3 * 2 * 23 * 11 + 10)
+    cells = []
+    solve = crossbar.solve_synapse_grid
+
+    def counting(g_m, v_in, *args):
+        if np.ndim(v_in):  # not readout_gain's one-voltage pair
+            cells.append(np.broadcast(g_m, v_in).size)
+        return solve(g_m, v_in, *args)
+
+    monkeypatch.setattr(crossbar, "solve_synapse_grid", counting)
+    got = mvm_nonideal_batch(ts, x, t, mode=mode, v_supply=0.4,
+                             pulse_width=2e-9, c_gate=3e-15)
+    want = _every_cell_solved(ts, x, t, mode, 0.4, 2e-9, 3e-15)
+    assert np.array_equal(got.outputs, want[0])
+    assert np.array_equal(got.column_currents, want[1])
+    assert np.array_equal(got.energy, want[2])
+    if mode is ANALYTICAL:
+        g_all = np.concatenate((ts.g_plus, ts.g_minus), axis=1)
+        distinct = np.count_nonzero(g_all != mem.g_off, axis=1) + 1
+        assert sum(cells) == int(((x > 0.0) @ distinct).sum())
 
 
 def test_batch_slice_plan_bounds_cells():
