@@ -219,6 +219,8 @@ def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,
     """
     if rows < 1 or cols < 1 or n_samples < 1:
         raise DomainError("rows, cols and n_samples must be at least 1")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if v_supply <= 0:
         raise DomainError("v_supply must be positive")
     if not (0 <= c_gate < np.inf and 0 < pulse_width < np.inf):  # NaN too

@@ -47,7 +47,8 @@ MAX_VG_POINTS = 1024  # longest gate-voltage grid a spec may expand to
 # Declared defaults of the options that some argv forms never read.
 _DEFAULTS = {"schedule": None, "vg": None, "vg_grid": DEFAULT_VG_GRID,
              "tm": DEFAULT_TM_THRESHOLD, "device": "default",
-             "device_mode": "analytical", "vsupply": DEFAULT_V_SUPPLY}
+             "device_mode": "analytical", "vsupply": DEFAULT_V_SUPPLY,
+             "test_data": None}
 
 
 class CliError(Exception):
@@ -107,7 +108,8 @@ def _device(args):
 
 
 def _load_data(args, model=None, max_samples=0):
-    """(x_train, y_train, x_test, y_test); bundled blobs unless --data given.
+    """(x_train, y_train, x_test, y_test); bundled blobs unless --data given,
+    and --test-data only with --data.
 
     Both splits must match ``model``'s input width and hold only labels
     below its output width. Without a model, the training split sets both:
@@ -121,6 +123,7 @@ def _load_data(args, model=None, max_samples=0):
         x_te, y_te = (read_dataset_csv(args.test_data) if args.test_data
                       else (x_tr, y_tr))
     else:
+        _reject_unread(args, f"{args.command} without --data", ("test_data",))
         ds = make_blobs()
         x_tr, y_tr, x_te, y_te = ds.x_train, ds.y_train, ds.x_test, ds.y_test
     if model is None:
@@ -312,13 +315,13 @@ def cmd_neat(args, out: Path) -> int:
         schedule = _read_schedule(args.schedule)
     else:
         _, schedule = _build_schedule(args, model, *_device(args))
-    _write_json(out / "schedule.json", schedule_to_dict(schedule))
     config = TrainConfig(learning_rate=args.retrain_lr, epochs=0,
                          batch_size=args.batch, seed=args.seed,
                          epochs_per_iteration=args.epochs_per_iter,
                          n_iterations=args.iters)
     model, history = iterative_train(model, schedule, x_tr, y_tr, config,
                                      eval_x=x_te, eval_y=y_te)
+    _write_json(out / "schedule.json", schedule_to_dict(schedule))
     save_checkpoint(out / "neat_checkpoint.json", model, schedule=schedule,
                     config=config, history=history)
     _write_csv(out / "history.csv",
@@ -430,8 +433,9 @@ def _add_common(p, device=True, device_mode=True):
 def _add_data(p):
     p.add_argument("--data", default=None,
                    help="training-split CSV (default: bundled blob task)")
-    p.add_argument("--test-data", default=None,
-                   help="test-split CSV (default: the training split)")
+    p.add_argument("--test-data", default=_DEFAULTS["test_data"],
+                   help="test-split CSV; needs --data (default: the "
+                        "training split)")
 
 
 def _add_schedule_flags(p):

@@ -4,10 +4,15 @@ Plain numpy implementation: dense layers with a rectifier after each but
 the last, a softmax cross-entropy head and an adaptive-moment optimizer.
 Everything is seeded and updates run serially, so two runs from the same
 configuration produce bit-identical parameters.
+
+A step's arrays are at most batch by widest layer, so its cost is the count
+of numpy calls: it works in place, reuses buffers across steps, and keeps
+the textbook expression order, so the parameters match it bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,8 @@ class TrainConfig:
             raise DomainError("epoch and iteration counts must be >= 0")
         if self.batch_size < 1:
             raise DomainError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 class Dense:
@@ -52,26 +59,43 @@ class Dense:
         return cls(w, np.zeros(out_dim))
 
     def forward(self, x):
+        """``x @ w + b`` as a new array the caller may change in place;
+        keeps ``x`` for backward."""
         self.x = x
-        return x @ self.w + self.b
+        out = x @ self.w
+        out += self.b
+        return out
 
     def backward(self, grad_out):
+        """Fills ``dw`` and ``db``; the input gradient is the caller's."""
         np.matmul(self.x.T, grad_out, out=self.dw)
         grad_out.sum(axis=0, out=self.db)
-        return grad_out @ self.w.T
 
 
 def softmax_cross_entropy(logits, labels):
     """Mean cross-entropy loss and its gradient w.r.t. the logits."""
-    logits = np.asarray(logits, dtype=float)
-    probs = logits - logits.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=1, keepdims=True)
-    n, rows = logits.shape[0], np.arange(logits.shape[0])
-    loss = -(np.log(np.maximum(probs[rows, labels], 1e-300)).sum() / n)
-    probs[rows, labels] -= 1.0
-    probs /= n
-    return float(loss), probs
+    probs = np.array(logits, dtype=float, order="C")
+    rows = np.arange(probs.shape[0])
+    loss = _softmax_cross_entropy_(
+        probs, np.ravel_multi_index((rows, labels), probs.shape))
+    return loss, probs
+
+
+def _softmax_cross_entropy_(logits, flat_labels):
+    """In place: turns the C-ordered ``logits`` into the gradient of the mean
+    cross-entropy and returns the loss. ``flat_labels`` index the raveled
+    logits: ``row * classes + label``."""
+    n = logits.shape[0]
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    flat = logits.reshape(-1)  # a view
+    picked = flat.take(flat_labels)
+    flat.put(flat_labels, picked - 1.0)
+    np.maximum(picked, 1e-300, out=picked)
+    loss = -(np.log(picked, out=picked).sum() / n)
+    logits /= n
+    return float(loss)
 
 
 class Model:
@@ -110,21 +134,35 @@ class Model:
         return [self.layers[0].w.shape[0]] + [l.w.shape[1] for l in self.layers]
 
     def forward(self, x):
-        """Logits; every layer keeps its input (``layer.x``) for backward."""
+        """Logits; each layer keeps its input (``layer.x``) and each hidden
+        ReLU its mask, for backward."""
         out = np.asarray(x, dtype=float)
+        self._relu_masks = []
         for layer in self.layers[:-1]:
             out = layer.forward(out)
-            out = out * (out > 0.0)  # ReLU
+            mask = out > 0.0
+            out *= mask  # ReLU
+            self._relu_masks.append(mask)
         return self.layers[-1].forward(out)
 
     def predict(self, x):
         return np.argmax(self.forward(x), axis=1)
 
     def loss_and_gradients(self, x, y):
-        loss, grad = softmax_cross_entropy(self.forward(x), y)
-        for layer in reversed(self.layers[1:]):
-            grad = layer.backward(grad)
-            grad = grad * (layer.x > 0.0)  # the ReLU mask of its input
+        """Mean cross-entropy on ``(x, y)``; gradients land in
+        ``flat_grads``."""
+        rows = np.arange(np.shape(x)[0])
+        return self._loss_and_gradients(x, np.ravel_multi_index(
+            (rows, y), (rows.size, self.layers[-1].w.shape[1])))
+
+    def _loss_and_gradients(self, x, flat_labels):
+        """``loss_and_gradients`` with the labels as flat logit indices."""
+        grad = self.forward(x)
+        loss = _softmax_cross_entropy_(grad, flat_labels)
+        for layer, mask in zip(self.layers[:0:-1], self._relu_masks[::-1]):
+            layer.backward(grad)
+            grad = grad @ layer.w.T
+            grad *= mask
         self.layers[0].backward(grad)
         return loss
 
@@ -162,22 +200,33 @@ class Adam:
     def __init__(self, learning_rate: float):
         self.lr = learning_rate
         self.t = 0
-        self._m = None
-        self._v = None
+        self._mv = None  # the moments m and v, stacked
 
     def step(self, p, g):
-        """Updates the array ``p`` in place from its gradient ``g``."""
-        if self._m is None:
-            self._m, self._v = np.zeros_like(p), np.zeros_like(p)
+        """Updates the array ``p`` in place from its gradient ``g``:
+        ``p -= lr * m_hat / (sqrt(v_hat) + eps)``, in that order."""
+        if self._mv is None:
+            shape = (2,) + p.shape
+            self._mv = np.zeros(shape)
+            self._hat = np.empty(shape)  # temporaries, then m_hat and v_hat
+            # Full size: numpy takes longer per call on a broadcast operand.
+            self._decay = np.empty(shape)
+            self._decay[0], self._decay[1] = self.beta1, self.beta2
+            self._gain = 1 - self._decay
         self.t += 1
-        b1, b2, m, v = self.beta1, self.beta2, self._m, self._v
-        m *= b1
-        m += (1 - b1) * g
-        v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** self.t)
-        v_hat = v / (1 - b2 ** self.t)
-        p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        mv, hat = self._mv, self._hat
+        (m, v), (m_hat, v_hat) = mv, hat
+        mv *= self._decay
+        np.multiply(self._gain, g, out=hat)
+        v_hat *= g  # ((1 - b2) * g) * g
+        mv += hat
+        np.divide(m, 1 - self.beta1 ** self.t, out=m_hat)
+        np.divide(v, 1 - self.beta2 ** self.t, out=v_hat)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += self.eps
+        m_hat *= self.lr
+        m_hat /= v_hat
+        p -= m_hat
 
 
 def train(model: Model, x, y, config: TrainConfig, rng=None,
@@ -189,22 +238,33 @@ def train(model: Model, x, y, config: TrainConfig, rng=None,
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
-    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+    if x.ndim != 2 or y.shape != x.shape[:1]:
         raise DomainError("x must be (samples, features) aligned with y")
+    classes = model.layers[-1].w.shape[1]
+    if y.size and not (y.dtype.kind in "iu" and y.min() >= 0
+                       and y.max() < classes):
+        raise DomainError(f"labels must be integers in 0..{classes - 1}")
+    y = y.astype(np.intp, copy=False)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     n_epochs = config.epochs if epochs is None else epochs
     optimizer = Adam(config.learning_rate)
-    n = x.shape[0]
-    for _ in range(n_epochs):
-        order = rng.permutation(n)
-        xs, ys = x[order], y[order]  # one gather; batches are row slices
-        for start in range(0, n, config.batch_size):
-            stop = start + config.batch_size
-            loss = model.loss_and_gradients(xs[start:stop], ys[start:stop])
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"loss became {loss}")
-            optimizer.step(model.flat_params, model.flat_grads)
+    n, size = x.shape[0], config.batch_size
+    # Each row's label as an index into its batch's raveled logits.
+    slots = np.arange(n) % size * classes
+    # An overflow surfaces as a non-finite loss, checked every step.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_epochs):
+            order = rng.permutation(n)
+            xs = x[order]  # one gather; batches are row slices
+            flat_labels = slots + y[order]
+            for start in range(0, n, size):
+                stop = start + size
+                loss = model._loss_and_gradients(xs[start:stop],
+                                                 flat_labels[start:stop])
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(f"loss became {loss}")
+                optimizer.step(model.flat_params, model.flat_grads)
     return model
 
 

@@ -187,3 +187,5 @@ def test_power_validates_arguments(device):
         power_monte_carlo(4, 4, 2, 0.9, t, mem, v_supply=0.0)
     with pytest.raises(DomainError):
         power_monte_carlo(4, 4, 2, 0.9, t, mem, pulse_width=0.0)
+    with pytest.raises(DomainError):  # a seed stream needs entropy >= 0
+        power_monte_carlo(4, 4, 2, 0.9, t, mem, seed=-1)

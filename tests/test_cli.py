@@ -424,7 +424,11 @@ def test_non_finite_values_exit_4(tmp_path, capsys, trained_checkpoint,
              "--vsupply", "1e308"] + data,
             ["eval", "--checkpoint", infinite_weight] + data,
             ["train", "--epochs", "1", "--data", str(big_label)],
-            ["train", "--epochs", "1", "--data", str(latin1)]]
+            ["train", "--epochs", "1", "--data", str(latin1)],
+            # Training that diverges stops at its first non-finite loss.
+            ["train", "--lr", "1e300", "--hidden", "4", "--epochs", "2"],
+            ["neat", *ckpt, "--vg-grid", "0.8,1.0", "--retrain-lr", "1e300",
+             "--iters", "1"] + data]
     for i, argv in enumerate(runs):
         out = tmp_path / f"run{i}"
         capsys.readouterr()
@@ -432,6 +436,41 @@ def test_non_finite_values_exit_4(tmp_path, capsys, trained_checkpoint,
         assert len(capsys.readouterr().err.splitlines()) == 1, argv
         assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
         assert read_json_object(out / "run_manifest.json")["exit_code"] == 4
+
+
+def test_negative_seed_exits_4(tmp_path, capsys, trained_checkpoint):
+    runs = [["train", "--hidden", "4", "--epochs", "1"],
+            ["neat", "--checkpoint", trained_checkpoint, "--vg-grid",
+             "0.8,1.0", "--iters", "1"],
+            ["power-mc", "--rows", "2", "--cols", "2", "--samples", "2"]]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-1", "--out", str(out)]) == 4, argv
+        assert len(capsys.readouterr().err.splitlines()) == 1, argv
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+
+
+def test_test_data_needs_data(tmp_path, capsys, trained_checkpoint,
+                              schedule_file):
+    # --test-data replaces the test split of --data; without --data it
+    # would be ignored in favour of the bundled split.
+    ckpt = ["--checkpoint", trained_checkpoint]
+    runs = {"train": ["--hidden", "4", "--epochs", "1"],
+            "neat": [*ckpt, "--vg-grid", "0.8,1.0", "--iters", "1"],
+            "eval": ckpt,
+            "energy": [*ckpt, "--schedule", schedule_file,
+                       "--max-samples", "5"],
+            "report": [*ckpt, "--max-samples", "5"]}
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    assert set(runs) == {name for name, p in subparsers.items()
+                         if "--test-data" in p._option_string_actions}
+    missing = str(tmp_path / "missing.csv")
+    for name, argv in runs.items():
+        capsys.readouterr()
+        assert main([name, *argv, "--test-data", missing,
+                     "--out", str(tmp_path / name)]) == 2, name
+        assert len(capsys.readouterr().err.splitlines()) == 1, name
 
 
 def test_report_honours_device_mode(tmp_path, trained_checkpoint, small_csvs):

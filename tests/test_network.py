@@ -20,6 +20,8 @@ def test_train_config_validation():
         TrainConfig(epochs=-1)
     with pytest.raises(DomainError):
         TrainConfig(n_iterations=-1)
+    with pytest.raises(DomainError):
+        TrainConfig(seed=-1)
     # Clip-and-retrain (the neat command) runs at 1e-5 by default.
     args = build_parser().parse_args(["neat", "--checkpoint", "c.json"])
     assert args.retrain_lr == 1e-5
@@ -145,6 +147,21 @@ def test_divergence_is_reported(blobs):
               TrainConfig(epochs=1))
 
 
+def test_train_rejects_labels_outside_the_output(blobs):
+    # A label indexes its row of the logits; one outside [0, classes)
+    # would read a neighbouring row's logit.
+    x, y = blobs.x_train[:40], blobs.y_train[:40].copy()
+    model = Model.new([blobs.n_features, 4, blobs.n_classes], seed=0)
+    before = model.flat_params.copy()
+    for bad in (-1, blobs.n_classes):
+        y[5] = bad
+        with pytest.raises(DomainError):
+            train(model, x, y, TrainConfig(epochs=1))
+    with pytest.raises(DomainError):
+        train(model, x, y.astype(float), TrainConfig(epochs=1))
+    assert np.array_equal(model.flat_params, before)
+
+
 def test_accuracy_on_known_labels():
     model = Model.new([2, 2], seed=0)
     layer = model.dense_layers()[0]
@@ -208,14 +225,17 @@ def _reference_train(layers, x, y, config, rng, epochs):
                 p -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def test_training_matches_per_parameter_reference(blobs):
+@pytest.mark.parametrize("dims, batch_size", [
+    pytest.param([16, 8, 5, 3], 7, id="partial-last-batch"),
+    pytest.param([16, 3], 7, id="first-layer-is-last"),
+    pytest.param([16, 8, 5, 3], 256, id="one-partial-batch-per-epoch"),
+])
+def test_training_matches_per_parameter_reference(blobs, dims, batch_size):
     # The flat-buffer step must reproduce the per-parameter loop bit for
-    # bit, over two rounds sharing one generator (as clip-and-retrain does)
-    # and with a batch size that leaves a partial last batch.
+    # bit, over two rounds sharing one generator (as clip-and-retrain does).
     x, y = blobs.x_train[:200], blobs.y_train[:200]
-    dims = [16, 8, 5, 3]
     assert (x.shape[1], blobs.n_classes) == (dims[0], dims[-1])
-    cfg = TrainConfig(learning_rate=1e-2, batch_size=7, seed=4)
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=batch_size, seed=4)
     model = Model.new(dims, seed=4)
     layers = [(l.w.copy(), l.b.copy()) for l in model.dense_layers()]
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
