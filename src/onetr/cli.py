@@ -87,13 +87,21 @@ def parse_vg_values(text: str):
         raise CliError(2, f"invalid gate-voltage spec {text!r}: {exc}") from exc
 
 
-def _reject_unread(args, form: str, names) -> None:
-    """Exit 2 if an option of ``names``, which ``form`` never reads, is given:
-    that is, set to anything but its declared default."""
-    given = [n for n in names if getattr(args, n) != _DEFAULTS[n]]
-    if given:
-        raise CliError(2, f"{form} does not read " + ", ".join(
-            "--" + n.replace("_", "-") for n in given))
+def _reject_unread(args) -> None:
+    """Exit 2 if the argv form gives an option it never reads, that is, one
+    set to anything but its declared default. No file is open yet."""
+    forms = ((f"{args.command} without --data", "test_data",
+              "test_data" in vars(args) and not args.data),
+             ("neat --schedule", "vg vg_grid tm device vsupply",
+              args.command == "neat" and args.schedule),
+             ("eval --mode software", "schedule device device_mode vsupply",
+              args.command == "eval" and args.mode == "software"))
+    for form, names, applies in forms:
+        given = applies and [n for n in names.split()
+                             if getattr(args, n) != _DEFAULTS[n]]
+        if given:
+            raise CliError(2, f"{form} does not read " + ", ".join(
+                "--" + n.replace("_", "-") for n in given))
 
 
 def _device(args):
@@ -108,8 +116,7 @@ def _device(args):
 
 
 def _load_data(args, model=None, max_samples=0):
-    """(x_train, y_train, x_test, y_test); bundled blobs unless --data given,
-    and --test-data only with --data.
+    """(x_train, y_train, x_test, y_test); bundled blobs unless --data given.
 
     Both splits must match ``model``'s input width and hold only labels
     below its output width. Without a model, the training split sets both:
@@ -123,7 +130,6 @@ def _load_data(args, model=None, max_samples=0):
         x_te, y_te = (read_dataset_csv(args.test_data) if args.test_data
                       else (x_tr, y_tr))
     else:
-        _reject_unread(args, f"{args.command} without --data", ("test_data",))
         ds = make_blobs()
         x_tr, y_tr, x_te, y_te = ds.x_train, ds.y_train, ds.x_test, ds.y_test
     if model is None:
@@ -145,13 +151,9 @@ def _load_data(args, model=None, max_samples=0):
     return x_tr, y_tr, x_te, y_te
 
 
-def _read_schedule(path):
-    return schedule_from_dict(read_json_object(path))
-
-
 def _load_schedule_for(args, checkpoint):
     if args.schedule:
-        return _read_schedule(args.schedule)
+        return schedule_from_dict(read_json_object(args.schedule))
     if checkpoint.schedule is not None:
         return checkpoint.schedule
     raise CliError(4, "no schedule: pass --schedule or use a checkpoint "
@@ -309,12 +311,9 @@ def cmd_search_vg(args, out: Path) -> int:
 def cmd_neat(args, out: Path) -> int:
     model = load_checkpoint(args.checkpoint).model
     x_tr, y_tr, x_te, y_te = _load_data(args, model)
-    if args.schedule:
-        _reject_unread(args, "neat --schedule",
-                       ("vg", "vg_grid", "tm", "device", "vsupply"))
-        schedule = _read_schedule(args.schedule)
-    else:
-        _, schedule = _build_schedule(args, model, *_device(args))
+    schedule = (schedule_from_dict(read_json_object(args.schedule))
+                if args.schedule
+                else _build_schedule(args, model, *_device(args))[1])
     config = TrainConfig(learning_rate=args.retrain_lr, epochs=0,
                          batch_size=args.batch, seed=args.seed,
                          epochs_per_iteration=args.epochs_per_iter,
@@ -340,8 +339,6 @@ def cmd_eval(args, out: Path) -> int:
     x_tr, y_tr, x_te, y_te = _load_data(args, checkpoint.model)
     payload = {"mode": args.mode, "n_test": int(len(y_te))}
     if args.mode == "software":
-        _reject_unread(args, "eval --mode software",
-                       ("schedule", "device", "device_mode", "vsupply"))
         acc = accuracy(checkpoint.model, x_te, y_te)
     else:
         t, mem = _device(args)
@@ -579,6 +576,7 @@ def main(argv=None) -> int:
 def _run(args, out: Path) -> int:
     """Run the subcommand; an expected failure is reported as its exit code."""
     try:
+        _reject_unread(args)
         return args.func(args, out)
     except (CliError, OSError, ToolkitError) as exc:
         return _fail(exc)

@@ -11,6 +11,7 @@ rows only accept non-negative read voltages.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,30 +71,29 @@ def write_dataset_csv(path, x, y) -> None:
 
 
 def read_dataset_csv(path):
-    """Inverse of write_dataset_csv; returns (x, y)."""
+    """Inverse of write_dataset_csv: C-contiguous float64 ``x``, int64 ``y``.
+
+    Below a header ending in ``label``, each non-blank line holds ASCII
+    decimal numbers, optionally double-quoted: the features, then an integer
+    label. ``#`` starts no comment. Bad input raises one DomainError.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            header = next(csv.reader(fh), [])
+            if len(header) < 2 or header[-1] != "label":
+                raise ValueError("expected a header of features and 'label'")
+            dtype = [("x", float, (len(header) - 1,)), ("y", np.int64)]
+            with warnings.catch_warnings():  # no data rows: checked below
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(fh, dtype=dtype, delimiter=",",
+                                  quotechar='"', comments=None, ndmin=1)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DomainError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
-    if not rows or not rows[0] or rows[0][-1] != "label":
-        raise DomainError(f"{path}: expected a header ending in 'label'")
-    n_feat = len(rows[0]) - 1
-    if n_feat < 1:
-        raise DomainError(f"{path}: no feature columns")
-    x, y = [], []
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != n_feat + 1:
-            raise DomainError(f"{path}:{i}: expected {n_feat + 1} columns")
-        try:
-            x.append([float(v) for v in row[:-1]])
-            y.append(np.int64(row[-1]))  # a label beyond int64 overflows
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{path}:{i}: {exc}") from exc
-    if not x:
+    except ValueError as exc:  # the header, a column count or a number
+        raise DomainError(f"{path}: {exc}") from exc
+    if not rows.size:
         raise DomainError(f"{path}: no data rows")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
+    x, y = np.ascontiguousarray(rows["x"]), np.ascontiguousarray(rows["y"])
     if not np.all(np.isfinite(x)):
         raise DomainError(f"{path}: non-finite feature values")
     if y.min() < 0:

@@ -122,6 +122,8 @@ class Model:
     def new(cls, dims, seed: int = 0) -> "Model":
         if len(dims) < 2 or any(d < 1 for d in dims):
             raise DomainError("dims must list at least input and output sizes")
+        if seed < 0:
+            raise DomainError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         return cls([Dense.init(dims[i], dims[i + 1], rng)
                     for i in range(len(dims) - 1)])

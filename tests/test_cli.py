@@ -13,8 +13,8 @@ from onetr import (ANALYTICAL, IDEAL_SWITCH, MemristorParams, TransistorParams,
                    homogeneous_schedule, load_checkpoint, make_blobs,
                    network_energy, program_model, read_dataset_csv,
                    save_device_file, write_dataset_csv)
-from onetr.cli import (MAX_VG_POINTS, CliError, _write_csv, _write_json,
-                       build_parser, main, parse_vg_values)
+from onetr.cli import (MAX_VG_POINTS, CliError, _run, _write_csv,
+                       _write_json, build_parser, main, parse_vg_values)
 from onetr.errors import read_json_object
 
 
@@ -231,6 +231,23 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, trained_checkpoint,
         assert main(argv + ["--out", str(tmp_path / f"run{i}")]) == 2, argv
     assert main(["no-such-command"]) == 2
     assert main(["characterize", "--gm", "1e-5"]) == 2  # missing --vg
+
+
+def test_usage_errors_precede_file_reads(tmp_path, capsys):
+    # An option the argv form never reads exits 2 before any file is opened,
+    # so missing input files do not turn the usage error into an I/O error.
+    missing = ["--checkpoint", str(tmp_path / "missing.json")]
+    csv_file, schedule = str(tmp_path / "x.csv"), str(tmp_path / "s.json")
+    runs = [["eval", *missing, "--test-data", csv_file],
+            ["eval", *missing, "--schedule", schedule],
+            ["energy", *missing, "--test-data", csv_file],
+            ["neat", *missing, "--schedule", schedule, "--vg", "0.8"]]
+    for i, argv in enumerate(runs):
+        out = tmp_path / f"run{i}"
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert len(capsys.readouterr().err.splitlines()) == 1, argv
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
 
 
 def test_io_errors_exit_3(tmp_path):
@@ -566,8 +583,8 @@ def _recording_namespace(reads):
 def test_every_declared_option_is_read(tmp_path, trained_checkpoint,
                                        schedule_file, small_csvs):
     # Each argv form on its own reads every option its command declares.
-    # Runs args.func, not main: main's manifest echo reads every field, and
-    # main reads --out itself.
+    # Runs _run (the argv-form check, then args.func), not main: main's
+    # manifest echo reads every field, and main reads --out itself.
     train_csv, test_csv = small_csvs
     data = ["--data", train_csv, "--test-data", test_csv]
     ckpt = ["--checkpoint", trained_checkpoint]
@@ -599,7 +616,7 @@ def test_every_declared_option_is_read(tmp_path, trained_checkpoint,
         reads.clear()  # parsing reads every field
         out = tmp_path / f"form{i}"
         out.mkdir()
-        assert args.func(args, out) == 0
+        assert _run(args, out) == 0
         assert declared - reads == set(), argv
 
 

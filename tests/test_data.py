@@ -32,12 +32,54 @@ def test_feature_scales_vary(blobs):
 
 
 def test_dataset_csv_round_trip(tmp_path, blobs):
-    path = tmp_path / "train.csv"
-    write_dataset_csv(path, blobs.x_train[:50], blobs.y_train[:50])
-    x, y = read_dataset_csv(path)
-    assert x.shape == (50, N_FEATURES)
-    assert np.array_equal(y, blobs.y_train[:50])
-    assert np.allclose(x, blobs.x_train[:50], rtol=1e-8)
+    # Both full splits read back exactly as Python's float() of the text.
+    for x, y in ((blobs.x_train, blobs.y_train), (blobs.x_test, blobs.y_test)):
+        path = tmp_path / "split.csv"
+        write_dataset_csv(path, x, y)
+        got_x, got_y = read_dataset_csv(path)
+        want_x = np.array([[float(format(v, ".9g")) for v in row] for row in x])
+        assert np.array_equal(got_x, want_x) and np.array_equal(got_y, y)
+        assert (got_x.dtype, got_y.dtype) == (want_x.dtype, y.dtype)
+        assert got_x.flags.c_contiguous and got_y.flags.c_contiguous
+        assert np.allclose(got_x, x, rtol=1e-8)
+
+
+HEADER = b"f0,f1,label"
+
+
+@pytest.mark.parametrize("body, x, y", [
+    (b"\r\n1,2,0\r\n3,4,1\r\n", [[1, 2], [3, 4]], [0, 1]),
+    (b"\r1,2,0\r3,4,1\r", [[1, 2], [3, 4]], [0, 1]),
+    (b"\n1,2,0\n3,4,1", [[1, 2], [3, 4]], [0, 1]),
+    (b'\n"1.5",2,"0"\n', [[1.5, 2]], [0]),
+    (b"\n0.25,1e-3,2\n", [[0.25, 1e-3]], [2]),
+    (b"\n\n1,2,0\n\n3,4,1\n\n", [[1, 2], [3, 4]], [0, 1]),
+], ids=["crlf", "bare-cr", "no-final-newline", "quoted", "single-row",
+        "blank-lines"])
+def test_dataset_csv_grammar_loads(tmp_path, body, x, y):
+    path = tmp_path / "data.csv"
+    path.write_bytes(HEADER + body)
+    got_x, got_y = read_dataset_csv(path)
+    assert got_x.shape == (len(y), 2) and got_y.shape == (len(y),)
+    assert np.array_equal(got_x, x) and np.array_equal(got_y, y)
+    assert (got_x.dtype, got_y.dtype) == (np.float64, np.int64)
+
+
+@pytest.mark.filterwarnings("error")  # a header-only file warns nothing
+@pytest.mark.parametrize("body", [
+    b"\n", b"\n\n\n", b"\n1_0,2,0\n", "\n１,2,0\n".encode(),
+    "\n1,٣,0\n".encode(), b"\n1,2,3.0\n", b"\n1,2,9223372036854775808\n",
+    b"\n#1,2,0\n", b"\n1,2,0\n# note\n", b"\n1,2\n", b"\n1,2,-1\n",
+    b"\nnan,2,0\n", b"\n1,2,\xff\n",
+], ids=["header-only", "blank-only", "underscore", "fullwidth-digit",
+        "arabic-indic-digit", "float-label", "label-beyond-int64",
+        "hash-number", "hash-line", "short-row", "negative-label", "nan",
+        "not-utf8"])
+def test_dataset_csv_grammar_rejects(tmp_path, body):
+    path = tmp_path / "data.csv"
+    path.write_bytes(HEADER + body)
+    with pytest.raises(DomainError, match="data.csv"):
+        read_dataset_csv(path)
 
 
 def test_dataset_csv_rejects_malformed_files(tmp_path):

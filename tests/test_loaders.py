@@ -168,11 +168,17 @@ VALID_CSV = b"f0,f1,label\n0.5,1.5,0\n2,3,1\n"
 @example(b"f0,label\n1.0,99999999999999999999999\n")  # label beyond int64
 @example(b"f0,label\n1.0,\xff\n")  # not UTF-8
 @example(b"f0,label\n1e999,0\n")  # overflows to inf
+@example(b"f0,label\n1_0,0\n")  # Python-only spelling of 10
+@example(b"f0,label\n#1,0\n")  # '#' starts no comment
+@example(b"f0,label\n1,0\n\n")  # trailing blank line
+@example(b"f0,label\n")  # header only
 @example(VALID_CSV)
 def test_dataset_csv_from_any_bytes(scratch, data):
     scratch.write_bytes(data)
     loaded = _load_or_domain_error(read_dataset_csv, scratch)
     if loaded is not None:
         x, y = loaded
+        assert (x.dtype, y.dtype) == (np.float64, np.int64)
+        assert x.flags.c_contiguous and y.flags.c_contiguous
         assert x.ndim == 2 and x.shape[0] == y.shape[0] >= 1
         assert np.isfinite(x).all() and (y >= 0).all()

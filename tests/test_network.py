@@ -27,6 +27,13 @@ def test_train_config_validation():
     assert args.retrain_lr == 1e-5
 
 
+def test_model_new_validation():
+    with pytest.raises(DomainError):
+        Model.new([3, 2], seed=-1)
+    with pytest.raises(DomainError):
+        Model.new([3])
+
+
 def test_dense_forward_is_affine():
     rng = np.random.default_rng(0)
     layer = Dense.init(4, 3, rng)
