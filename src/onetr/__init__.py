@@ -25,10 +25,9 @@ from .device import (ANALYTICAL, IDEAL_SWITCH, DeviceMode, MemristorParams,
 from .errors import (CutoffLookupError, DegenerateLayerError, DomainError,
                      ToolkitError, TrainingDivergedError)
 from .mapping import (DifferentialPair, LayerScale, WcutSpec, clip_weights,
-                      conductance_to_weight, layer_scale, scale_from_range,
-                      wcut_from_vg, weight_to_conductance)
-from .network import (Adam, Dense, Model, TrainConfig, accuracy,
-                      softmax_cross_entropy, train)
+                      layer_scale, scale_from_range, wcut_from_vg,
+                      weight_to_conductance)
+from .network import Adam, Dense, Model, TrainConfig, accuracy, train
 from .training import (Checkpoint, ScheduleEntry, VgSchedule, clip_model,
                        crossbar_forward, evaluate, homogeneous_schedule,
                        iterative_train, linear_fraction, load_checkpoint,

@@ -9,7 +9,6 @@ linearly at a given gate voltage.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ from . import mapping
 from .crossbar import _MVM_BLOCK_CELLS, DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH
 from .device import (ANALYTICAL, DeviceMode, MemristorParams,
                      TransistorParams, solve_synapse_grid)
-from .errors import CutoffLookupError, DomainError, atomic_write
+from .errors import CutoffLookupError, DomainError, _write_csv
 
 DEFAULT_V_SUPPLY = 0.5
 DEFAULT_TM_THRESHOLD = 0.025
@@ -189,12 +188,8 @@ def cutoff_table(v_g_values, t: TransistorParams, mem: MemristorParams,
 
 def write_cutoff_csv(table: CutoffTable, path) -> None:
     """Write a cutoff table as CSV; missing cutoffs become empty fields."""
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["v_g", "g_m_cutoff"])
-        for vg, cutoff in table.entries:
-            writer.writerow([format(vg, ".9g"),
-                             "" if cutoff is None else format(cutoff, ".9g")])
+    _write_csv(path, ["v_g", "g_m_cutoff"],
+               [(vg, "" if c is None else c) for vg, c in table.entries])
 
 
 def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -30,8 +28,8 @@ from .crossbar import DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH
 from .data import make_blobs, read_dataset_csv
 from .device import (ANALYTICAL, IDEAL_SWITCH, default_device,
                      leakage_stressed_device, load_device_file)
-from .errors import (DomainError, ToolkitError, atomic_write,
-                     read_json_object, real)
+from .errors import (DomainError, ToolkitError, _write_csv, _write_json,
+                     read_json_object)
 from .network import Model, TrainConfig, accuracy, train
 from .training import (evaluate, homogeneous_schedule, iterative_train,
                        linear_fraction, load_checkpoint, network_energy,
@@ -151,9 +149,17 @@ def _load_data(args, model=None, max_samples=0):
     return x_tr, y_tr, x_te, y_te
 
 
+def _read_schedule(path):
+    raw = read_json_object(path)  # its errors name the file already
+    try:
+        return schedule_from_dict(raw)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+
+
 def _load_schedule_for(args, checkpoint):
     if args.schedule:
-        return schedule_from_dict(read_json_object(args.schedule))
+        return _read_schedule(args.schedule)
     if checkpoint.schedule is not None:
         return checkpoint.schedule
     raise CliError(4, "no schedule: pass --schedule or use a checkpoint "
@@ -162,25 +168,6 @@ def _load_schedule_for(args, checkpoint):
 
 # ---------------------------------------------------------------------------
 # output helpers
-
-def _write_json(path, payload) -> None:
-    with atomic_write(path) as fh:
-        try:
-            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        except ValueError as exc:  # a NaN or infinite value
-            raise DomainError(f"{Path(path).name}: {exc}") from exc
-        fh.write("\n")
-
-
-def _write_csv(path, header, rows) -> None:
-    name = Path(path).name
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([format(real(v, name), ".9g")
-                             if isinstance(v, float) else v for v in row])
-
 
 def _write_manifest(out: Path, args, exit_code: int) -> None:
     skip = {"func", "out"}
@@ -311,8 +298,7 @@ def cmd_search_vg(args, out: Path) -> int:
 def cmd_neat(args, out: Path) -> int:
     model = load_checkpoint(args.checkpoint).model
     x_tr, y_tr, x_te, y_te = _load_data(args, model)
-    schedule = (schedule_from_dict(read_json_object(args.schedule))
-                if args.schedule
+    schedule = (_read_schedule(args.schedule) if args.schedule
                 else _build_schedule(args, model, *_device(args))[1])
     config = TrainConfig(learning_rate=args.retrain_lr, epochs=0,
                          batch_size=args.batch, seed=args.seed,
@@ -577,6 +563,9 @@ def _run(args, out: Path) -> int:
     """Run the subcommand; an expected failure is reported as its exit code."""
     try:
         _reject_unread(args)
+        for spec in (getattr(args, n, None) for n in ("vg", "vg_grid")):
+            if isinstance(spec, str):  # a gate-voltage spec, not --vg V
+                parse_vg_values(spec)  # exits 2 before any file is read
         return args.func(args, out)
     except (CliError, OSError, ToolkitError) as exc:
         return _fail(exc)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, atomic_write
+from .errors import DomainError, _write_csv
 
 N_FEATURES = 16
 N_CLASSES = 3
@@ -63,11 +63,8 @@ def write_dataset_csv(path, x, y) -> None:
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DomainError("x must be (samples, features) aligned with y")
-    with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"f{i}" for i in range(x.shape[1])] + ["label"])
-        for row, label in zip(x, y):
-            writer.writerow([format(v, ".9g") for v in row] + [int(label)])
+    _write_csv(path, [f"f{i}" for i in range(x.shape[1])] + ["label"],
+               (row.tolist() + [int(label)] for row, label in zip(x, y)))
 
 
 def read_dataset_csv(path):

@@ -1,10 +1,12 @@
 """Exception types shared across the toolkit, and the artifact file helpers."""
 
 import contextlib
+import csv
 import json
 import math
 import os
 import sys
+from pathlib import Path
 
 
 class ToolkitError(Exception):
@@ -68,3 +70,26 @@ def atomic_write(path, newline=None):
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
+
+
+def _write_json(path, payload) -> None:
+    """Sorted-key JSON artifact; a NaN or infinite value raises DomainError."""
+    with atomic_write(path) as fh:
+        try:
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
+        except ValueError as exc:  # a NaN or infinite value
+            raise DomainError(f"{Path(path).name}: {exc}") from exc
+        fh.write("\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    """CSV artifact with floats as ``.9g``; a non-finite float raises
+    DomainError. ``rows`` may be any iterable; it is read once."""
+    name = Path(path).name
+    with atomic_write(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:  # real() only builds the error for a non-finite v
+            writer.writerow([format(v if math.isfinite(v) else real(v, name),
+                                    ".9g")
+                             if isinstance(v, float) else v for v in row])

@@ -113,11 +113,3 @@ def weight_to_conductance(weights, scale: LayerScale) -> DifferentialPair:
     if scalar:
         return DifferentialPair(float(g_plus), float(g_minus))
     return DifferentialPair(g_plus, g_minus)
-
-
-def conductance_to_weight(pair: DifferentialPair, scale: LayerScale):
-    """Decode differential pairs back to weights."""
-    g_plus = np.asarray(pair.g_plus, dtype=float)
-    g_minus = np.asarray(pair.g_minus, dtype=float)
-    w = (g_plus - g_minus) / scale.s
-    return float(w) if w.ndim == 0 else w

@@ -72,15 +72,6 @@ class Dense:
         grad_out.sum(axis=0, out=self.db)
 
 
-def softmax_cross_entropy(logits, labels):
-    """Mean cross-entropy loss and its gradient w.r.t. the logits."""
-    probs = np.array(logits, dtype=float, order="C")
-    rows = np.arange(probs.shape[0])
-    loss = _softmax_cross_entropy_(
-        probs, np.ravel_multi_index((rows, labels), probs.shape))
-    return loss, probs
-
-
 def _softmax_cross_entropy_(logits, flat_labels):
     """In place: turns the C-ordered ``logits`` into the gradient of the mean
     cross-entropy and returns the loss. ``flat_labels`` index the raveled

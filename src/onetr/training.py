@@ -16,7 +16,6 @@ one code path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, asdict
 from typing import Optional
 
@@ -25,7 +24,7 @@ import numpy as np
 from .crossbar import (DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH,
                        mvm_nonideal_batch, program)
 from .device import ANALYTICAL, DeviceMode, MemristorParams, TransistorParams
-from .errors import DomainError, atomic_write, read_json_object, real
+from .errors import DomainError, _write_json, read_json_object, real
 from .mapping import layer_scale, scale_from_range, wcut_from_vg
 from .network import Model, TrainConfig, accuracy, train
 
@@ -323,16 +322,13 @@ class Checkpoint:
 def save_checkpoint(path, model: Model, schedule: Optional[VgSchedule] = None,
                     config: Optional[TrainConfig] = None,
                     history=None) -> None:
-    payload = {
+    _write_json(path, {
         "format_version": CHECKPOINT_FILE_VERSION,
         "model": model.to_dict(),
         "schedule": schedule_to_dict(schedule) if schedule else None,
         "train_config": asdict(config) if config else None,
         "history": history,
-    }
-    with atomic_write(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 def load_checkpoint(path) -> Checkpoint:

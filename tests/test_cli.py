@@ -8,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from onetr import (ANALYTICAL, IDEAL_SWITCH, MemristorParams, TransistorParams,
-                   cutoff_table, default_device, evaluate,
-                   homogeneous_schedule, load_checkpoint, make_blobs,
-                   network_energy, program_model, read_dataset_csv,
-                   save_device_file, write_dataset_csv)
+from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, MemristorParams,
+                   Model, TransistorParams, cutoff_table, default_device,
+                   evaluate, homogeneous_schedule, load_checkpoint,
+                   make_blobs, network_energy, program_model,
+                   read_dataset_csv, save_checkpoint, save_device_file,
+                   write_dataset_csv)
 from onetr.cli import (MAX_VG_POINTS, CliError, _run, _write_csv,
                        _write_json, build_parser, main, parse_vg_values)
 from onetr.errors import read_json_object
@@ -234,14 +235,20 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, trained_checkpoint,
 
 
 def test_usage_errors_precede_file_reads(tmp_path, capsys):
-    # An option the argv form never reads exits 2 before any file is opened,
-    # so missing input files do not turn the usage error into an I/O error.
+    # An option the argv form never reads, or a malformed gate-voltage spec,
+    # exits 2 before any file is opened, so missing input files do not turn
+    # the usage error into an I/O error.
     missing = ["--checkpoint", str(tmp_path / "missing.json")]
+    device = ["--device", str(tmp_path / "missing.json")]
     csv_file, schedule = str(tmp_path / "x.csv"), str(tmp_path / "s.json")
     runs = [["eval", *missing, "--test-data", csv_file],
             ["eval", *missing, "--schedule", schedule],
             ["energy", *missing, "--test-data", csv_file],
-            ["neat", *missing, "--schedule", schedule, "--vg", "0.8"]]
+            ["neat", *missing, "--schedule", schedule, "--vg", "0.8"],
+            ["search-vg", *missing, "--vg-grid", "abc"],
+            ["neat", *missing, "--vg-grid", "abc"],
+            ["cutoff", *device, "--vg", "abc"],
+            ["power-mc", *device, "--vg", "abc"]]
     for i, argv in enumerate(runs):
         out = tmp_path / f"run{i}"
         capsys.readouterr()
@@ -371,7 +378,7 @@ def test_malformed_checkpoint_exits_4(tmp_path, malformed_json,
                          "--data", train_csv, "--test-data", test_csv]) == 4
 
 
-def test_malformed_schedule_file_exits_4(tmp_path, malformed_json,
+def test_malformed_schedule_file_exits_4(tmp_path, capsys, malformed_json,
                                          trained_checkpoint, schedule_file,
                                          small_csvs):
     train_csv, test_csv = small_csvs
@@ -386,15 +393,14 @@ def test_malformed_schedule_file_exits_4(tmp_path, malformed_json,
                            ("layer", 7), ("layer", True), ("flag", [1]))]
         + [lambda raw: raw.update(grid=["x"])])
     for i, path in enumerate(malformed_json + edited):
-        assert main(["energy", "--checkpoint", trained_checkpoint,
-                     "--schedule", path, "--max-samples", "5",
-                     "--out", str(tmp_path / f"energy{i}")] + data) == 4
-        assert main(["eval", "--checkpoint", trained_checkpoint,
-                     "--mode", "crossbar", "--schedule", path,
-                     "--out", str(tmp_path / f"eval{i}")] + data) == 4
-        assert main(["neat", "--checkpoint", trained_checkpoint,
-                     "--schedule", path, "--iters", "1",
-                     "--out", str(tmp_path / f"neat{i}")] + data) == 4
+        for argv in (["energy", "--max-samples", "5"],
+                     ["eval", "--mode", "crossbar"],
+                     ["neat", "--iters", "1"]):
+            capsys.readouterr()
+            assert main(argv + ["--checkpoint", trained_checkpoint,
+                                "--schedule", path, "--out",
+                                str(tmp_path / f"{argv[0]}{i}")] + data) == 4
+            assert path in capsys.readouterr().err, (argv, path)
 
 
 def test_malformed_device_file_exits_4(tmp_path, malformed_json):
@@ -635,3 +641,16 @@ def test_failed_write_keeps_previous_artifact(tmp_path):
         _write_csv(tmp_path / "artifact.csv", ["x"], rows())
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json"]
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: write_dataset_csv(p, [[1.0, float("nan")]], [0]),
+    lambda p: write_dataset_csv(p, [[float("-inf"), 1.0]], [0]),
+    lambda p: save_checkpoint(p, Model.new([2, 2], seed=0), history=[
+        {"iteration": 1, "accuracy": float("inf")}])])
+def test_library_writers_reject_non_finite_values(tmp_path, write):
+    # The library writers share the CLI's artifact helpers, so a NaN or an
+    # infinity fails the write and leaves no file behind.
+    with pytest.raises(DomainError):
+        write(tmp_path / "artifact")
+    assert not any(tmp_path.iterdir())

@@ -5,9 +5,9 @@ import pytest
 
 from onetr import (Adam, Dense, DomainError, Model, TrainConfig,
                    TrainingDivergedError, accuracy, clip_model,
-                   load_checkpoint, save_checkpoint, softmax_cross_entropy,
-                   train)
+                   load_checkpoint, save_checkpoint, train)
 from onetr.cli import build_parser
+from onetr.network import _softmax_cross_entropy_
 from onetr.training import ScheduleEntry, VgSchedule
 
 
@@ -58,7 +58,8 @@ def test_relu_masks_gradient():
 def test_softmax_cross_entropy_matches_manual():
     logits = np.array([[2.0, 0.5, -1.0], [0.0, 0.0, 0.0]])
     labels = np.array([0, 2])
-    loss, grad = softmax_cross_entropy(logits, labels)
+    grad = np.array(logits, order="C")  # overwritten with the gradient
+    loss = _softmax_cross_entropy_(grad, np.arange(2) * 3 + labels)
     shifted = logits - logits.max(axis=1, keepdims=True)
     p = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     manual = -np.mean(np.log(p[np.arange(2), labels]))
