@@ -33,9 +33,8 @@ from .errors import (DomainError, ToolkitError, _write_csv, _write_json,
 from .network import Model, TrainConfig, accuracy, train
 from .training import (evaluate, homogeneous_schedule, iterative_train,
                        linear_fraction, load_checkpoint, network_energy,
-                       program_model, save_checkpoint, schedule_from_dict,
-                       schedule_to_dict, search_heterogeneous_vg,
-                       step_down_schedule)
+                       save_checkpoint, schedule_from_dict, schedule_to_dict,
+                       search_heterogeneous_vg, step_down_schedule)
 
 _LOCK_NAME = ".onetr.lock"
 MANIFEST_FILE_VERSION = 1
@@ -338,22 +337,14 @@ def cmd_eval(args, out: Path) -> int:
     return 0
 
 
-def _energy(args, t, mem, model, schedule, x_calib, x_eval):
-    """Program ``model`` under ``schedule`` and read ``x_eval`` through it."""
-    tilesets = program_model(model, schedule, mem, x_calib)
-    biases = [l.b for l in model.dense_layers()]
-    return network_energy(tilesets, biases, x_eval, t,
-                          mode=_DEVICE_MODES[args.device_mode],
-                          v_supply=args.vsupply, pulse_width=args.pulse_width,
-                          c_gate=args.c_gate)
-
-
 def cmd_energy(args, out: Path) -> int:
     checkpoint = load_checkpoint(args.checkpoint)
     t, mem = _device(args)
     schedule = _load_schedule_for(args, checkpoint)
     x_tr, _, x_eval, _ = _load_data(args, checkpoint.model, args.max_samples)
-    energy = _energy(args, t, mem, checkpoint.model, schedule, x_tr, x_eval)
+    energy = network_energy(checkpoint.model, x_eval, schedule, t, mem, x_tr,
+                            _DEVICE_MODES[args.device_mode], args.vsupply,
+                            args.pulse_width, args.c_gate)
     n = int(x_eval.shape[0])
     payload = {"n_samples": n,
                "per_layer_J": energy["per_layer"],
@@ -375,8 +366,9 @@ def cmd_report(args, out: Path) -> int:
 
     def leg(vg):
         schedule = homogeneous_schedule(checkpoint.model, vg, table, mem)
-        energy = _energy(args, t, mem, checkpoint.model, schedule, x_tr,
-                         x_eval)
+        energy = network_energy(checkpoint.model, x_eval, schedule, t, mem,
+                                x_tr, _DEVICE_MODES[args.device_mode],
+                                args.vsupply, args.pulse_width, args.c_gate)
         acc = float(np.mean(np.argmax(energy["logits"], axis=1) == y_eval))
         return {"v_g": vg, "accuracy": acc, "total_J": energy["total"],
                 "per_sample_J": energy["total"] / int(x_eval.shape[0])}

@@ -193,9 +193,6 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     step = _slice_samples(rows, cols)
     g_off = ts.scale.g_off
     live = g_all != g_off  # the cells a row's g_off solve cannot stand for
-    n_live, live_col = live.sum(axis=1), np.nonzero(live)[1]  # row-major
-    g_live = g_all[live]
-    live_start = np.cumsum(n_live) - n_live  # each row's first in g_live
     col_current, energy = [], []
     for s in range(0, max(v.shape[0], 1), step):  # an empty batch: 1 slice
         vs = v[s:s + step]
@@ -203,22 +200,16 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
             current = solve_synapse_grid(g_all, vs[:, :, None], ts.v_g, t,
                                          mode)[0]
         else:
-            # The (sample, row) pairs read at a nonzero voltage and, for
-            # each, the live cells of its row as indices into g_live.
-            pair = np.flatnonzero(vs > 0.0)
-            row, v_pair = pair % rows, vs.reshape(-1)[pair]
-            n = n_live[row]
-            cell = (np.repeat(live_start[row] - (np.cumsum(n) - n), n)
-                    + np.arange(n.sum()))
+            read = vs > 0.0
+            cells = read[:, :, None] & live
+            g_m, v_in = (np.broadcast_to(a, cells.shape)[cells]
+                         for a in (g_all, vs[:, :, None]))
             i = solve_synapse_grid(
-                np.concatenate((g_live[cell], np.full(pair.size, g_off))),
-                np.concatenate((np.repeat(v_pair, n), v_pair)),
-                ts.v_g, t, mode)[0]
-            current = np.zeros((vs.shape[0], rows, 2 * cols))
-            line = current.reshape(-1, 2 * cols)  # one per (sample, row)
-            line[pair] = i[cell.size:, None]  # the row's g_off current
-            line.reshape(-1)[np.repeat(pair * 2 * cols, n)
-                             + live_col[cell]] = i[:cell.size]
+                np.append(g_m, np.full(np.count_nonzero(read), g_off)),
+                np.append(v_in, vs[read]), ts.v_g, t, mode)[0]
+            current = np.zeros(cells.shape)
+            current[read] = i[g_m.size:, None]  # the row's g_off current
+            current[cells] = i[:g_m.size]
         col_current.append(current.sum(axis=1))  # fixed global row order
         if pulse_width is not None:
             energy.append(_energy_from_currents(ts, vs, current,

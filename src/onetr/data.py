@@ -63,6 +63,10 @@ def write_dataset_csv(path, x, y) -> None:
     y = np.asarray(y)
     if x.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DomainError("x must be (samples, features) aligned with y")
+    labels = y.astype(float)  # NaN fails every test below
+    if not np.all((labels >= 0) & (labels < 2.0 ** 63)
+                  & (np.floor(labels) == labels)):
+        raise DomainError("labels must be non-negative integers")
     _write_csv(path, [f"f{i}" for i in range(x.shape[1])] + ["label"],
                (row.tolist() + [int(label)] for row, label in zip(x, y)))
 

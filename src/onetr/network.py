@@ -174,11 +174,13 @@ class Model:
     @classmethod
     def from_dict(cls, raw: dict) -> "Model":
         try:
-            dims = raw["dims"]
+            dims, layers = raw["dims"], raw["layers"]
+            if len(dims) != len(layers) + 1:
+                raise ValueError(f"{len(dims)} dims for {len(layers)} layers")
             return cls([Dense(np.asarray(spec["weights"], dtype=float)
                               .reshape(dims[i], dims[i + 1]),
                               np.asarray(spec["biases"], dtype=float))
-                        for i, spec in enumerate(raw["layers"])])
+                        for i, spec in enumerate(layers)])
         except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise DomainError(f"malformed model payload: {exc}") from exc
 

@@ -9,9 +9,9 @@ Two procedures connect the device tables to a trained network:
   at a fixed schedule with short retraining rounds, pushing weights into
   the linear window while recovering accuracy.
 
-Programming a model onto crossbar tiles and evaluating it through the
-non-ideal array live here too, so the command line tool and the tests share
-one code path.
+``crossbar_forward`` is the one network read: it programs a (model, schedule)
+pair onto crossbar arrays and gives logits and per-layer read energy from one
+pass.  ``evaluate`` and ``network_energy`` reduce that pass.
 """
 
 from __future__ import annotations
@@ -262,27 +262,26 @@ def program_model(model: Model, schedule: VgSchedule, mem: MemristorParams,
     return tilesets
 
 
-def crossbar_forward(tilesets, biases, x, t: TransistorParams,
+def crossbar_forward(model: Model, x, schedule: VgSchedule,
+                     t: TransistorParams, mem: MemristorParams, calib_x,
                      mode: DeviceMode = ANALYTICAL, v_supply: float = 0.5,
                      pulse_width: Optional[float] = None,
                      c_gate: float = DEFAULT_C_GATE):
-    """Forward pass through programmed arrays; biases and ReLU are digital.
+    """Program ``model`` under ``schedule`` (calibrated on ``calib_x``) and
+    read the batch ``x`` through its arrays; biases and ReLU are digital.
 
     One crossbar solve per layer gives ``(logits, per-layer read energy over
     the batch)``; the energy is None without ``pulse_width``.
     """
-    if len(tilesets) != len(biases):
-        raise DomainError("one bias vector per programmed layer required")
+    tilesets = program_model(model, schedule, mem, calib_x)
     acts = np.asarray(x, dtype=float)
     per_layer = None if pulse_width is None else []
-    last = len(tilesets) - 1
-    for i, (ts, b) in enumerate(zip(tilesets, biases)):
-        r = mvm_nonideal_batch(ts, acts, t, mode=mode, v_supply=v_supply,
-                               pulse_width=pulse_width, c_gate=c_gate)
+    for i, (ts, layer) in enumerate(zip(tilesets, model.dense_layers())):
+        r = mvm_nonideal_batch(ts, acts, t, mode, v_supply, pulse_width, c_gate)
         if per_layer is not None:
             per_layer.append(float(np.sum(r.energy)))
-        acts = r.outputs + np.asarray(b)
-        if i < last:
+        acts = r.outputs + layer.b
+        if i < len(tilesets) - 1:
             acts = np.maximum(acts, 0.0)
     return acts, per_layer
 
@@ -292,21 +291,21 @@ def evaluate(model: Model, x, y, schedule: VgSchedule, t: TransistorParams,
              v_supply: float = 0.5) -> float:
     """Accuracy of ``model`` programmed under ``schedule`` (calibrated on
     ``calib_x``) and read through the crossbar."""
-    tilesets = program_model(model, schedule, mem, calib_x)
-    biases = [l.b for l in model.dense_layers()]
-    logits = crossbar_forward(tilesets, biases, x, t, mode, v_supply)[0]
+    logits = crossbar_forward(model, x, schedule, t, mem, calib_x, mode,
+                              v_supply)[0]
     return float(np.mean(np.argmax(logits, axis=1) == np.asarray(y)))
 
 
-def network_energy(tilesets, biases, x, t: TransistorParams,
+def network_energy(model: Model, x, schedule: VgSchedule,
+                   t: TransistorParams, mem: MemristorParams, calib_x,
                    mode: DeviceMode = ANALYTICAL, v_supply: float = 0.5,
                    pulse_width: float = DEFAULT_PULSE_WIDTH,
                    c_gate: float = DEFAULT_C_GATE):
     """Read energy of one forward pass over a batch, per layer and total,
     plus the pass's logits.  Each layer is billed for the activations the
     crossbar chain hands it."""
-    logits, per_layer = crossbar_forward(tilesets, biases, x, t, mode,
-                                         v_supply, pulse_width, c_gate)
+    logits, per_layer = crossbar_forward(model, x, schedule, t, mem, calib_x,
+                                         mode, v_supply, pulse_width, c_gate)
     return {"per_layer": per_layer, "total": float(sum(per_layer)),
             "logits": logits}
 

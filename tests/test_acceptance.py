@@ -16,9 +16,9 @@ from onetr import (IDEAL_SWITCH, Model, TrainConfig, WcutSpec, accuracy,
                    clip_model, clip_weights, cutoff_table, evaluate,
                    find_gm_cutoff, homogeneous_schedule, iterative_train,
                    linear_fraction, mvm_nonideal, network_energy,
-                   power_monte_carlo, program, program_model,
-                   scale_from_range, search_heterogeneous_vg, solve_synapse_grid,
-                   train, transistor_current)
+                   power_monte_carlo, program, scale_from_range,
+                   search_heterogeneous_vg, solve_synapse_grid, train,
+                   transistor_current)
 from onetr.calibrate import VG_GRID
 from onetr.cli import main as cli_main
 from onetr.mapping import layer_scale
@@ -209,14 +209,12 @@ def test_08_energy_trends(device, table, blobs, baseline_model):
                   for vg in (0.8, 0.9, 1.0)]
         assert powers[0] < powers[1] < powers[2]
 
-        biases = [l.b for l in baseline_model.dense_layers()]
         energies = {}
         for vg in (0.8, 1.0):
             sched = homogeneous_schedule(baseline_model, vg, table, mem)
-            tilesets = program_model(baseline_model, sched, mem,
-                                     blobs.x_train)
-            energies[vg] = network_energy(tilesets, biases,
-                                          blobs.x_test[:100], t)["total"]
+            energies[vg] = network_energy(baseline_model, blobs.x_test[:100],
+                                          sched, t, mem,
+                                          blobs.x_train)["total"]
         gain = 100.0 * (energies[1.0] - energies[0.8]) / energies[1.0]
         assert gain > 0.0
         assert time.monotonic() - start < 60.0

@@ -11,9 +11,8 @@ import pytest
 from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, MemristorParams,
                    Model, TransistorParams, cutoff_table, default_device,
                    evaluate, homogeneous_schedule, load_checkpoint,
-                   make_blobs, network_energy, program_model,
-                   read_dataset_csv, save_checkpoint, save_device_file,
-                   write_dataset_csv)
+                   make_blobs, network_energy, read_dataset_csv,
+                   save_checkpoint, save_device_file, write_dataset_csv)
 from onetr.cli import (MAX_VG_POINTS, CliError, _run, _write_csv,
                        _write_json, build_parser, main, parse_vg_values)
 from onetr.errors import read_json_object
@@ -370,6 +369,8 @@ def test_malformed_checkpoint_exits_4(tmp_path, malformed_json,
         lambda raw: raw["train_config"].update(no_such_key=1),
         lambda raw: raw["train_config"].update(learning_rate="x"),
         lambda raw: raw["model"]["dims"].pop(),  # fewer dims than layers
+        lambda raw: raw["model"]["dims"].append(7),  # more dims than layers
+        lambda raw: raw["model"]["layers"].pop(),  # the last layer dropped
     ])
     for i, path in enumerate(malformed_json + edited):
         for command in ("eval", "energy"):
@@ -512,12 +513,10 @@ def test_report_honours_device_mode(tmp_path, trained_checkpoint, small_csvs):
     x_te, y_te = read_dataset_csv(test_csv)
     grid = parse_vg_values("0.7:1.0:0.05")
     table = cutoff_table(grid, t, mem)
-    biases = [l.b for l in model.dense_layers()]
     for leg in ("baseline", "compare"):
         ideal, analytical = reports["ideal_switch"][leg], reports["analytical"][leg]
         schedule = homogeneous_schedule(model, ideal["v_g"], table, mem)
-        tilesets = program_model(model, schedule, mem, x_tr)
-        direct = network_energy(tilesets, biases, x_te[:20], t,
+        direct = network_energy(model, x_te[:20], schedule, t, mem, x_tr,
                                 mode=IDEAL_SWITCH)
         assert ideal["total_J"] == direct["total"]
         assert ideal["total_J"] != analytical["total_J"]
@@ -543,8 +542,7 @@ def test_report_takes_any_gate_voltage(tmp_path, trained_checkpoint,
     x_te, y_te = read_dataset_csv(test_csv)
     schedule = homogeneous_schedule(model, 0.83, cutoff_table([0.83], t, mem),
                                     mem)
-    direct = network_energy(program_model(model, schedule, mem, x_tr),
-                            [l.b for l in model.dense_layers()], x_te[:20], t)
+    direct = network_energy(model, x_te[:20], schedule, t, mem, x_tr)
     assert compare["v_g"] == 0.83
     assert compare["total_J"] == direct["total"]
     assert compare["accuracy"] == np.mean(

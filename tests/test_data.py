@@ -44,6 +44,18 @@ def test_dataset_csv_round_trip(tmp_path, blobs):
         assert np.allclose(got_x, x, rtol=1e-8)
 
 
+@pytest.mark.parametrize("label", [-1, 2.7, float("nan"), float("inf"),
+                                   1e30])
+def test_dataset_csv_writer_rejects_what_the_reader_would(tmp_path, label):
+    # Labels are non-negative int64 values; 2.0 is one, 2.7 is not.
+    with pytest.raises(DomainError, match="labels"):
+        write_dataset_csv(tmp_path / "data.csv", [[1.0, 2.0], [3.0, 4.0]],
+                          [0, label])
+    assert not any(tmp_path.iterdir())
+    write_dataset_csv(tmp_path / "data.csv", [[1.0, 2.0]], [2.0])
+    assert read_dataset_csv(tmp_path / "data.csv")[1].tolist() == [2]
+
+
 HEADER = b"f0,f1,label"
 
 

@@ -96,6 +96,12 @@ def test_model_dict_round_trip():
         assert np.array_equal(a.b, b.b)
     with pytest.raises(DomainError):
         Model.from_dict({"dims": [3, 2]})
+    # Surplus dims, or a layer dropped from the list, do not load.
+    raw = Model.new([4, 5, 3], seed=0).to_dict()
+    for bad in (dict(raw, dims=[4, 5, 3, 7]), dict(raw, dims=[4, 5]),
+                dict(raw, layers=raw["layers"][:1])):
+        with pytest.raises(DomainError, match="malformed model payload"):
+            Model.from_dict(bad)
 
 
 def test_adam_single_step_hand_computed():

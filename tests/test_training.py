@@ -149,10 +149,9 @@ def test_evaluate_is_argmax_of_crossbar_logits(baseline_model, het_schedule,
                                                blobs, device):
     t, mem = device
     calib, x, y = blobs.x_train[:256], blobs.x_test[:100], blobs.y_test[:100]
-    tilesets = program_model(baseline_model, het_schedule, mem, calib)
-    biases = [l.b for l in baseline_model.dense_layers()]
     for mode in (ANALYTICAL, IDEAL_SWITCH):
-        logits = crossbar_forward(tilesets, biases, x, t, mode)[0]
+        logits = crossbar_forward(baseline_model, x, het_schedule, t, mem,
+                                  calib, mode)[0]
         want = float(np.mean(np.argmax(logits, axis=1) == y))
         assert evaluate(baseline_model, x, y, het_schedule, t, mem, calib,
                         mode) == want
@@ -160,30 +159,26 @@ def test_evaluate_is_argmax_of_crossbar_logits(baseline_model, het_schedule,
 
 def test_network_energy_totals(baseline_model, het_schedule, blobs, device):
     t, mem = device
-    tilesets = program_model(baseline_model, het_schedule, mem,
-                             blobs.x_train[:256])
-    biases = [l.b for l in baseline_model.dense_layers()]
-    energy = network_energy(tilesets, biases, blobs.x_test[:50], t)
-    assert len(energy["per_layer"]) == len(tilesets)
+    energy = network_energy(baseline_model, blobs.x_test[:50], het_schedule,
+                            t, mem, blobs.x_train[:256])
+    assert len(energy["per_layer"]) == len(baseline_model.dense_layers())
     assert all(e > 0.0 for e in energy["per_layer"])
     assert energy["total"] == sum(energy["per_layer"])
-    with pytest.raises(DomainError):
-        network_energy(tilesets, biases[:1], blobs.x_test[:50], t)
 
 
 def test_network_energy_is_one_forward_pass(baseline_model, het_schedule,
                                             blobs, device):
     t, mem = device
-    tilesets = program_model(baseline_model, het_schedule, mem,
-                             blobs.x_train[:256])
-    biases = [l.b for l in baseline_model.dense_layers()]
-    x, y = blobs.x_test[:60], blobs.y_test[:60]
-    energy = network_energy(tilesets, biases, x, t)
-    logits = crossbar_forward(tilesets, biases, x, t)[0]
+    calib, x, y = blobs.x_train[:256], blobs.x_test[:60], blobs.y_test[:60]
+    energy = network_energy(baseline_model, x, het_schedule, t, mem, calib)
+    logits, per_layer = crossbar_forward(baseline_model, x, het_schedule, t,
+                                         mem, calib)
     assert np.array_equal(energy["logits"], logits)
-    assert crossbar_forward(tilesets, biases, x, t)[1] is None
+    assert per_layer is None  # no pulse width, no energy
 
     # Each layer is billed for the activations the chain hands it.
+    tilesets = program_model(baseline_model, het_schedule, mem, calib)
+    biases = [l.b for l in baseline_model.dense_layers()]
     acts, billed = x, []
     for i, (ts, b) in enumerate(zip(tilesets, biases)):
         billed.append(float(np.sum(mvm_energy_batch(ts, acts, t))))
@@ -194,8 +189,7 @@ def test_network_energy_is_one_forward_pass(baseline_model, het_schedule,
 
     # The accuracy report reads off these logits is evaluate's.
     acc = float(np.mean(np.argmax(energy["logits"], axis=1) == y))
-    assert acc == evaluate(baseline_model, x, y, het_schedule, t, mem,
-                           blobs.x_train[:256])
+    assert acc == evaluate(baseline_model, x, y, het_schedule, t, mem, calib)
 
 
 def test_checkpoint_round_trip(tmp_path, baseline_model, het_schedule):

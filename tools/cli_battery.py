@@ -38,9 +38,13 @@ RUNS = [
     (0, "eval_software", ["eval", "--checkpoint", NEAT]),
     (0, "eval_ideal", ["eval", "--checkpoint", NEAT, "--mode", "crossbar",
                        *IDEAL]),
+    (0, "eval_stressed", ["eval", "--checkpoint", NEAT, "--mode", "crossbar",
+                          *STRESSED]),
     (0, "energy", ["energy", "--checkpoint", NEAT, "--max-samples", "20"]),
     (0, "energy_ideal", ["energy", "--checkpoint", NEAT, "--max-samples",
                          "20", *IDEAL]),
+    (0, "energy_stressed", ["energy", "--checkpoint", NEAT, "--max-samples",
+                            "20", *STRESSED]),
     (0, "report_ideal", ["report", "--checkpoint", BASE, "--max-samples",
                          "20", *IDEAL]),
     (0, "report_stressed", ["report", "--checkpoint", BASE, "--max-samples",
