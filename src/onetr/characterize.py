@@ -24,6 +24,11 @@ DEFAULT_TM_THRESHOLD = 0.025
 DEFAULT_VIN_POINTS = 64
 DEFAULT_GM_POINTS = 256
 
+# The cutoff scan solves every conductance at these read-voltage indices (the
+# ends and the middle), then the surviving rows _SCAN_CHUNK at a time.
+_PROBE_POINTS = (0, DEFAULT_VIN_POINTS // 2, DEFAULT_VIN_POINTS - 1)
+_SCAN_CHUNK = 16
+
 # Default weight range for Monte Carlo draws: standard normal clipped to
 # three standard deviations.
 _MC_WEIGHT_RANGE = 3.0
@@ -160,15 +165,27 @@ def find_gm_cutoff(v_g: float, t: TransistorParams, mem: MemristorParams,
     The search grid is ``DEFAULT_GM_POINTS`` uniform values including both
     range ends, so a fully linear device returns exactly ``g_on``.  Returns
     ``None`` when no grid point passes.
+
+    Only rows that can decide the cutoff are solved in full: a row fails when
+    its spread over a few probe voltages, which never exceeds its full
+    spread, is above the threshold; the rest are solved from ``g_on`` down.
+    Each cell stops on its own, so this matches solving every cell.
     """
     _check_threshold(tm_threshold)
     gms = np.linspace(mem.g_off, mem.g_on, DEFAULT_GM_POINTS)
     grid = default_vin_grid(v_supply)
-    _, _, g_eff = solve_synapse_grid(gms[:, None], grid[None, :], v_g, t, mode)
-    passing = _tm_rows(g_eff) <= tm_threshold
-    if not passing.any():
-        return None
-    return float(gms[np.flatnonzero(passing)[-1]])
+    probe = np.isin(np.arange(grid.size), _PROBE_POINTS)
+    _, _, g_probe = solve_synapse_grid(gms[:, None], grid[probe], v_g, t, mode)
+    # The margin covers the rounding of the probe's and the row's ratios.
+    alive = np.flatnonzero(_tm_rows(g_probe) <= tm_threshold * (1 + 1e-12))
+    for start in range(0, alive.size, _SCAN_CHUNK):
+        rows = alive[::-1][start:start + _SCAN_CHUNK]
+        _, _, g_rest = solve_synapse_grid(gms[rows, None], grid[~probe], v_g,
+                                          t, mode)
+        passing = _tm_rows(np.hstack((g_probe[rows], g_rest))) <= tm_threshold
+        if passing.any():
+            return float(gms[rows[np.argmax(passing)]])
+    return None
 
 
 def cutoff_table(v_g_values, t: TransistorParams, mem: MemristorParams,

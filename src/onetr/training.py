@@ -304,6 +304,8 @@ def network_energy(model: Model, x, schedule: VgSchedule,
     """Read energy of one forward pass over a batch, per layer and total,
     plus the pass's logits.  Each layer is billed for the activations the
     crossbar chain hands it."""
+    if pulse_width is None:
+        raise DomainError("network_energy needs a pulse width")
     logits, per_layer = crossbar_forward(model, x, schedule, t, mem, calib_x,
                                          mode, v_supply, pulse_width, c_gate)
     return {"per_layer": per_layer, "total": float(sum(per_layer)),

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onetr import characterize
 from onetr import (ANALYTICAL, IDEAL_SWITCH, CutoffLookupError, CutoffTable,
-                   DomainError, GeffCurve, cutoff_table, default_vin_grid,
-                   find_gm_cutoff, linear_vin_range, power_monte_carlo,
-                   sweep_geff, tolerance_metric, write_cutoff_csv)
+                   DomainError, GeffCurve, TransistorParams, cutoff_table,
+                   default_vin_grid, find_gm_cutoff, linear_vin_range,
+                   power_monte_carlo, sweep_geff, tolerance_metric,
+                   write_cutoff_csv)
 
 
 def test_default_grid_spans_supply():
@@ -102,6 +104,84 @@ def test_cutoff_is_largest_passing_grid_point(device):
     assert tolerance_metric(sweep_geff(cutoff, 0.8, t)).tm <= thr
     for g in grid[idx + 1:idx + 6]:
         assert tolerance_metric(sweep_geff(g, 0.8, t)).tm > thr
+
+
+def _exhaustive_cutoff(v_g, t, mem, thr, v_supply, mode=ANALYTICAL):
+    # Solve every (g_m, v_in) cell of the search grid; keep the largest row
+    # whose spread over all read voltages passes.
+    gms = np.linspace(mem.g_off, mem.g_on, characterize.DEFAULT_GM_POINTS)
+    grid = default_vin_grid(v_supply)
+    _, _, g_eff = characterize.solve_synapse_grid(gms[:, None], grid[None, :],
+                                                  v_g, t, mode)
+    g_max, g_min = g_eff.max(axis=1), g_eff.min(axis=1)
+    passing = [hi > 0.0 and (hi - lo) / hi <= thr
+               for hi, lo in zip(g_max, g_min)]
+    return float(gms[np.flatnonzero(passing)[-1]]) if any(passing) else None
+
+
+@pytest.mark.parametrize("which, v_g, thr, v_supply, mode", [
+    ("default", 0.8, 0.025, 0.5, ANALYTICAL),
+    ("default", 0.75, 1e-4, 0.5, ANALYTICAL),
+    ("default", 0.9, 1e-3, 2.0, ANALYTICAL),
+    ("default", 0.7, 0.005, 0.5, ANALYTICAL),
+    ("default", 0.95, 0.999, 0.5, ANALYTICAL),
+    ("default", 0.3, 0.9, 0.5, ANALYTICAL),
+    ("default", 0.9, 0.005, 1.0, ANALYTICAL),
+    ("default", 1.2, 0.05, 2.0, ANALYTICAL),
+    ("default", 0.62, 0.025, 0.1, ANALYTICAL),
+    ("default", 0.8, 0.025, 0.5, IDEAL_SWITCH),
+    ("default", 0.2, 0.025, 0.5, IDEAL_SWITCH),
+    ("stressed", 0.3, 0.025, 0.5, ANALYTICAL),  # currents underflow to zero
+    ("stressed", 0.3, 0.999, 0.5, ANALYTICAL),
+    ("stressed", 0.5, 0.999, 2.0, ANALYTICAL),
+    ("stressed", 0.7, 0.999, 0.5, ANALYTICAL),
+    ("stressed", 1.3, 0.9, 1.0, ANALYTICAL),
+    ("stressed", 1.3, 0.5, 0.5, IDEAL_SWITCH),
+])
+@pytest.mark.parametrize("weak_probe", [False, True])
+def test_cutoff_scan_matches_exhaustive_solve(request, monkeypatch, which, v_g,
+                                              thr, v_supply, mode, weak_probe):
+    t, mem = request.getfixturevalue("device" if which == "default"
+                                     else "stressed")
+    if weak_probe:  # one probe point rejects nothing: scan chunk by chunk
+        monkeypatch.setattr(characterize, "_PROBE_POINTS", (0,))
+        monkeypatch.setattr(characterize, "_SCAN_CHUNK", 5)
+    assert (find_gm_cutoff(v_g, t, mem, thr, v_supply, mode)
+            == _exhaustive_cutoff(v_g, t, mem, thr, v_supply, mode))
+
+
+@settings(max_examples=25)
+@given(vth=st.floats(0.1, 1.0), kp=st.floats(-6.0, -2.0),
+       lambda_=st.floats(0.0, 0.2), n_sub=st.floats(1.0, 2.0),
+       i0_sub=st.floats(-12.0, -6.0), v_g=st.floats(0.0, 1.5),
+       thr=st.sampled_from([1e-4, 0.002, 0.025, 0.2, 0.95]),
+       v_supply=st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+def test_cutoff_scan_matches_exhaustive_solve_on_random_devices(
+        device, vth, kp, lambda_, n_sub, i0_sub, v_g, thr, v_supply):
+    t = TransistorParams(vth=vth, kp=10.0 ** kp, lambda_=lambda_, n_sub=n_sub,
+                         i0_sub=10.0 ** i0_sub)
+    _, mem = device
+    assert (find_gm_cutoff(v_g, t, mem, thr, v_supply)
+            == _exhaustive_cutoff(v_g, t, mem, thr, v_supply))
+
+
+def test_cutoff_scan_solves_few_cells(device, stressed, monkeypatch):
+    # A fine-grid scan solves every conductance at a few read voltages and
+    # only the rows near the cutoff at all of them.
+    cells = []
+    solve = characterize.solve_synapse_grid
+
+    def recording(g_m, v_in, *args):
+        cells.append(np.broadcast(g_m, v_in).size)
+        return solve(g_m, v_in, *args)
+
+    monkeypatch.setattr(characterize, "solve_synapse_grid", recording)
+    v_gs = np.round(0.70 + 0.02 * np.arange(16), 2)
+    full = 16 * characterize.DEFAULT_GM_POINTS * characterize.DEFAULT_VIN_POINTS
+    for (t, mem), share in ((device, 1 / 4), (stressed, 1 / 8)):
+        cells.clear()
+        cutoff_table(v_gs, t, mem)
+        assert 0 < sum(cells) <= share * full
 
 
 def test_cutoff_none_when_nothing_passes(stressed):

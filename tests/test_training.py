@@ -166,6 +166,15 @@ def test_network_energy_totals(baseline_model, het_schedule, blobs, device):
     assert energy["total"] == sum(energy["per_layer"])
 
 
+def test_network_energy_needs_a_pulse_width(baseline_model, het_schedule,
+                                            blobs, device):
+    t, mem = device
+    for pulse_width in (None, float("nan"), 0.0):
+        with pytest.raises(DomainError, match="pulse"):
+            network_energy(baseline_model, blobs.x_test[:5], het_schedule, t,
+                           mem, blobs.x_train[:64], pulse_width=pulse_width)
+
+
 def test_network_energy_is_one_forward_pass(baseline_model, het_schedule,
                                             blobs, device):
     t, mem = device

@@ -14,6 +14,9 @@ from onetr.cli import main  # noqa: E402
 BASE, NEAT = "base/checkpoint.json", "neat/neat_checkpoint.json"
 IDEAL, STRESSED = ["--device-mode", "ideal_switch"], ["--device", "stressed"]
 CELL = ["characterize", "--gm", "2e-5", "--vg", "0.8"]
+# gate voltages on both sides of threshold, a non-default tm and supply
+WIDE_CUTOFF = ["cutoff", "--vg", "0.0:1.3:0.01", "--tm", "0.005", "--vsupply",
+               "1.0"]
 # (expected exit code, output directory, argv without --out)
 RUNS = [
     # the README's five commands
@@ -30,6 +33,8 @@ RUNS = [
     (0, "cutoff", ["cutoff"]),
     (0, "cutoff_ideal", ["cutoff", *IDEAL]),
     (0, "cutoff_stressed", ["cutoff", *STRESSED]),
+    (0, "cutoff_wide", WIDE_CUTOFF),
+    (0, "cutoff_wide_stressed", WIDE_CUTOFF + STRESSED),
     (2, "cutoff_bad_spec", ["cutoff", "--vg", "abc"]),
     (0, "power", ["power-mc", "--samples", "20"]),
     (0, "power_stressed_ideal", ["power-mc", "--samples", "20", *STRESSED,
