@@ -11,6 +11,7 @@ rows only accept non-negative read voltages.
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -71,27 +72,48 @@ def write_dataset_csv(path, x, y) -> None:
                (row.tolist() + [int(label)] for row, label in zip(x, y)))
 
 
+def _loadtxt(lines, dtype):
+    with warnings.catch_warnings():  # no data rows: the caller checks
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                          comments=None, ndmin=1)
+
+
+def _bad_line(path, dtype):
+    """``path:line: reason`` of the first line numpy rejects (its rows skip
+    the header), else None.  Only the error path reads the file twice."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for line_no, line in enumerate(fh, reader.line_num + 1):
+            try:
+                _loadtxt([line], dtype)
+            except ValueError as exc:
+                reason = re.sub(r" at row \d+", "", str(exc)).split(";")[0]
+                return f"{path}:{line_no}: {reason}"
+
+
 def read_dataset_csv(path):
     """Inverse of write_dataset_csv: C-contiguous float64 ``x``, int64 ``y``.
 
     Below a header ending in ``label``, each non-blank line holds ASCII
     decimal numbers, optionally double-quoted: the features, then an integer
-    label. ``#`` starts no comment. Bad input raises one DomainError.
+    label; ``#`` starts no comment. Bad input raises one DomainError (naming
+    the file line of a bad number or row, the header being line 1).
     """
+    dtype = None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh), [])
             if len(header) < 2 or header[-1] != "label":
                 raise ValueError("expected a header of features and 'label'")
             dtype = [("x", float, (len(header) - 1,)), ("y", np.int64)]
-            with warnings.catch_warnings():  # no data rows: checked below
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, dtype=dtype, delimiter=",",
-                                  quotechar='"', comments=None, ndmin=1)
+            rows = _loadtxt(fh, dtype)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise DomainError(f"{path}: not a UTF-8 CSV file: {exc}") from exc
     except ValueError as exc:  # the header, a column count or a number
-        raise DomainError(f"{path}: {exc}") from exc
+        raise DomainError(dtype and _bad_line(path, dtype) or f"{path}: {exc}"
+                          ) from exc
     if not rows.size:
         raise DomainError(f"{path}: no data rows")
     x, y = np.ascontiguousarray(rows["x"]), np.ascontiguousarray(rows["y"])

@@ -27,7 +27,7 @@ from .errors import DomainError, atomic_write, read_json_object, real
 # Read voltage used for the secant slope that defines g_eff at v_in = 0.
 V_EPSILON = 1e-6
 
-# Each cell stops once |KCL residual| <= _SOLVE_RTOL * g_m * v_in, or after
+# Each cell stops once |KCL residual| <= _SOLVE_RTOL * u * g_m, or after
 # _SOLVE_MAX_ITERS steps at its last iterate.  Cells are solved in blocks of
 # _SOLVE_BLOCK, which keeps temporaries in cache and bounds solver memory.
 _SOLVE_RTOL = 1e-13
@@ -96,12 +96,15 @@ def _gate_terms(vgs, p: TransistorParams):
 
 
 def _drain_current(leak0, ov_pos, vds, p: TransistorParams):
-    """Drain current without argument validation."""
-    leak = leak0 * -np.expm1(-vds / p.v_thermal)
-    clm = 1.0 + p.lambda_ * vds
-    triode = p.kp * (ov_pos * vds - 0.5 * vds * vds) * clm
-    sat = 0.5 * p.kp * ov_pos * ov_pos * clm
-    return leak + np.where(vds < ov_pos, triode, sat)
+    """Drain current and its ``vds`` slope from one ``expm1``, unvalidated;
+    ``vc``, clamped at the overdrive, gives triode and saturation one form."""
+    e = np.expm1(vds * (-1.0 / p.v_thermal))
+    vc = np.minimum(vds, ov_pos)
+    q, clm = vc * (ov_pos - 0.5 * vc), 1.0 + p.lambda_ * vds
+    leak = leak0 * e  # minus the leak current
+    di = (p.kp * ((ov_pos - vc) * clm + p.lambda_ * q)
+          + (leak0 + leak) * (1.0 / p.v_thermal))
+    return p.kp * q * clm - leak, di
 
 
 def transistor_current(vgs, vds, p: TransistorParams):
@@ -120,72 +123,54 @@ def transistor_current(vgs, vds, p: TransistorParams):
         raise DomainError("vgs and vds must be finite")
     if np.any(vgs < 0.0) or np.any(vds < 0.0):
         raise DomainError("vgs and vds must be non-negative")
-    i = _drain_current(*_gate_terms(vgs, p), vds, p)
+    i, _ = _drain_current(*_gate_terms(vgs, p), vds, p)
     return float(i) if scalar else i
 
 
-def _solve_v_internal(g_m, v_in, v_g, p: TransistorParams):
-    """Internal node voltage on broadcast arrays, solved block by block.
+def _solve_drop(g_m, v_in, v_g, p: TransistorParams):
+    """Memristor drop ``u`` on broadcast arrays, by bracketed Newton per block.
 
-    The KCL residual ``(v_in - x) * g_m - i_transistor(v_g, x)`` is positive
-    at ``x = 0``, non-positive at ``x = v_in`` and strictly decreasing, so the
-    root is bracketed.  Each cell iterates and stops on its own, so its result
-    does not depend on the other cells of its call or block.
+    ``f(u) = u * g_m - i_transistor(v_g, v_in - u)`` rises from ``f(0) <= 0``
+    to ``f(v_in) > 0``.  Newton starts at the small-signal drop (transistor
+    conductance ``G0 = kp * ov + leak0 / v_thermal``).  If ``2 * lambda_ * ov
+    < 1``, ``f`` is convex and the iterates fall monotonically onto the root;
+    a step that leaves the bracket bisects it.  Each cell stops on its own, so
+    its neighbours do not change its result, at its last evaluated ``u``: on
+    ``|f| <= _SOLVE_RTOL * u * g_m``, a step that cannot move ``u`` or a
+    closed bracket.
     """
     it = np.nditer([g_m, v_in, *_gate_terms(np.asarray(v_g, dtype=float), p),
                     None], flags=["external_loop", "buffered", "zerosize_ok"],
                    op_flags=[["readonly"]] * 4 + [["writeonly", "allocate"]],
                    buffersize=_SOLVE_BLOCK)
     with it:
-        for g, v, leak0, ov_pos, x in it:
-            x[...] = _illinois(g, v, leak0, ov_pos, p)
+        for g_m, v_in, leak0, ov_pos, u_out in it:
+            idx = np.arange(v_in.size)
+            g0 = p.kp * ov_pos + leak0 * (1.0 / p.v_thermal)
+            u, lo, hi = v_in * g0 / (g_m + g0), np.zeros_like(v_in), v_in
+            for _ in range(_SOLVE_MAX_ITERS):
+                i, di = _drain_current(leak0, ov_pos, v_in - u, p)
+                current = u * g_m
+                f = current - i
+                u_out[idx] = u  # converged cells then leave the active arrays
+                lo, hi = np.where(f < 0.0, u, lo), np.where(f > 0.0, u, hi)
+                newton = u - f / (g_m + di)
+                active = np.abs(f) > _SOLVE_RTOL * current
+                stray = active & ((newton <= lo) | (newton >= hi))
+                if stray.any():  # bisect, unless u cannot move or lo, hi meet
+                    mid = 0.5 * (lo + hi)
+                    active &= ~stray | ((newton != u) & (lo < mid)
+                                        & (mid < hi))
+                    newton = np.where(stray, mid, newton)
+                u = newton
+                if not active.all():
+                    keep = np.flatnonzero(active)
+                    if not keep.size:
+                        break
+                    idx, g_m, v_in, leak0, ov_pos, u, lo, hi = (
+                        a.take(keep) for a in (idx, g_m, v_in, leak0, ov_pos,
+                                               u, lo, hi))
         return it.operands[4]
-
-
-def _illinois(g_m, v_in, leak0, ov_pos, p: TransistorParams):
-    """Illinois (modified regula falsi, Dowell & Jarratt 1972) solve of a block.
-
-    A bracket end kept twice in a row has its stored residual halved, so the
-    stored residuals are not true ones: each cell returns its last iterate.
-    """
-    x_out = np.empty_like(v_in)
-    idx = np.arange(v_in.size)
-    lo, hi = np.zeros_like(v_in), v_in
-    f_lo, f_hi = v_in * g_m, -_drain_current(leak0, ov_pos, v_in, p)
-    tol = _SOLVE_RTOL * f_lo
-    kept_lo = kept_hi = np.zeros(v_in.size, dtype=bool)
-    for _ in range(_SOLVE_MAX_ITERS):
-        # Clip, never bisect: a rounding overshoot stays at the bracket end.
-        x = np.minimum(np.maximum(hi - f_hi * (hi - lo) / (f_hi - f_lo), lo), hi)
-        f = (v_in - x) * g_m - _drain_current(leak0, ov_pos, x, p)
-        x_out[idx] = x  # converged cells then leave the active arrays
-        up = f > 0.0  # the root lies above x, which becomes the new lo
-        f_lo = np.where(up, f, np.where(kept_lo, 0.5 * f_lo, f_lo))
-        f_hi = np.where(up, np.where(kept_hi, 0.5 * f_hi, f_hi), f)
-        lo, hi = np.where(up, x, lo), np.where(up, hi, x)
-        kept_lo, kept_hi = ~up, up
-        active = np.abs(f) > tol
-        if not active.all():
-            (idx, g_m, v_in, leak0, ov_pos, tol, lo, hi, f_lo, f_hi, kept_lo,
-             kept_hi) = (a[active] for a in (idx, g_m, v_in, leak0, ov_pos, tol,
-                                             lo, hi, f_lo, f_hi, kept_lo, kept_hi))
-            if not idx.size:
-                break
-    return x_out
-
-
-def _validate_operating_point(g_m, v_in, v_g):
-    g_m = np.asarray(g_m, dtype=float)
-    v_in = np.asarray(v_in, dtype=float)
-    v_g = np.asarray(v_g, dtype=float)
-    for name, a in (("g_m", g_m), ("v_in", v_in), ("v_g", v_g)):
-        if not np.all(np.isfinite(a)):
-            raise DomainError(f"{name} must be finite")
-    if np.any(g_m <= 0.0):
-        raise DomainError("g_m must be positive")
-    if np.any(v_in < 0.0) or np.any(v_g < 0.0):
-        raise DomainError("v_in and v_g must be non-negative")
-    return g_m, v_in, v_g
 
 
 def solve_synapse_grid(g_m, v_in, v_g, p: TransistorParams,
@@ -194,28 +179,32 @@ def solve_synapse_grid(g_m, v_in, v_g, p: TransistorParams,
 
     Returns ``(current, v_internal, g_eff)`` arrays.  Entries with
     ``v_in == 0`` carry zero current and the secant-slope ``g_eff`` taken at
-    ``V_EPSILON``.
+    ``V_EPSILON``.  The analytical current is ``u * g_m``, ``u`` the drop.
     """
-    g_m, v_in, v_g = _validate_operating_point(g_m, v_in, v_g)
+    g_m, v_in, v_g = (np.asarray(a, dtype=float) for a in (g_m, v_in, v_g))
+    for name, a in (("g_m", g_m), ("v_in", v_in), ("v_g", v_g)):
+        if not np.all(np.isfinite(a)):
+            raise DomainError(f"{name} must be finite")
+    if np.any(g_m <= 0.0):
+        raise DomainError("g_m must be positive")
+    if np.any(v_in < 0.0) or np.any(v_g < 0.0):
+        raise DomainError("v_in and v_g must be non-negative")
     if mode.variant == "ideal_switch":
-        shape = np.broadcast_shapes(g_m.shape, v_in.shape, v_g.shape)
-        g_m = np.broadcast_to(g_m, shape)
-        v_in = np.broadcast_to(v_in, shape)
-        on = np.broadcast_to(v_g, shape) > p.vth
+        g_m, v_in, v_g = np.broadcast_arrays(g_m, v_in, v_g)
+        on = v_g > p.vth
         g_eff = np.where(on, g_m, 0.0)
         return g_eff * v_in, np.where(on, 0.0, v_in), g_eff
     at_zero = v_in == 0.0
     v_solve = np.where(at_zero, V_EPSILON, v_in)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            x = _solve_v_internal(g_m, v_solve, v_g, p)
+            u = _solve_drop(g_m, v_solve, v_g, p)
     except FloatingPointError as exc:  # an operating point beyond float range
         raise DomainError(f"cell solve failed: {exc}") from exc
-    current = (v_solve - x) * np.broadcast_to(g_m, x.shape)
+    current = u * np.broadcast_to(g_m, u.shape)
     g_eff = current / v_solve
     return (np.where(at_zero, 0.0, current),
-            np.where(at_zero, 0.0, x),
-            g_eff)
+            np.where(at_zero, 0.0, v_solve - u), g_eff)
 
 
 # ---------------------------------------------------------------------------

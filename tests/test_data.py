@@ -94,6 +94,18 @@ def test_dataset_csv_grammar_rejects(tmp_path, body):
         read_dataset_csv(path)
 
 
+@pytest.mark.parametrize("body, line", [
+    (b"\nabc,2,0\n", 2), (b"\n1,2,0\n1,2\n", 3),
+    (b"\r\n1,2,0\r\n\r\n\r\n1,x,0\r\n", 5),
+], ids=["bad-number", "short-row", "bad-number-after-blank-lines"])
+def test_dataset_csv_error_names_the_file_line(tmp_path, body, line):
+    # The header is line 1; blank lines count as lines.
+    path = tmp_path / "data.csv"
+    path.write_bytes(HEADER + body)
+    with pytest.raises(DomainError, match=rf"data\.csv:{line}: "):
+        read_dataset_csv(path)
+
+
 def test_dataset_csv_rejects_malformed_files(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1\n1.0\n")

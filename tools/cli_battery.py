@@ -29,6 +29,9 @@ RUNS = [
     (0, "cell", CELL),
     (0, "cell_ideal", CELL + IDEAL),
     (0, "cell_stressed", CELL + STRESSED),
+    # deep subthreshold: currents many decades below g_m * v_in
+    (0, "cell_stressed_subthreshold", ["characterize", "--gm", "2e-5", "--vg",
+                                       "0.3", *STRESSED]),
     (4, "cell_stressed_ideal", CELL + STRESSED + IDEAL),  # no conductance
     (0, "cutoff", ["cutoff"]),
     (0, "cutoff_ideal", ["cutoff", *IDEAL]),
