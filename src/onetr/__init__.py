@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 from .characterize import (CutoffTable, GeffCurve, PowerReport,
                            ToleranceResult, cutoff_table, default_vin_grid,
                            find_gm_cutoff, linear_vin_range,
-                           power_monte_carlo, sweep_geff, tolerance_metric,
-                           write_cutoff_csv)
+                           power_monte_carlo, power_table, sweep_geff,
+                           tolerance_metric, write_cutoff_csv)
 from .crossbar import (CrossbarTileSet, MvmResult, mvm_energy,
                        mvm_energy_batch, mvm_ideal, mvm_nonideal,
                        mvm_nonideal_batch, program, readout_gain)

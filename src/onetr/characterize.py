@@ -63,12 +63,8 @@ class ToleranceResult:
 
 @dataclass(frozen=True)
 class CutoffTable:
-    """Per-gate-voltage conductance cutoffs.
-
-    ``entries`` maps each gate voltage to the largest memristor conductance
-    whose full-range tolerance metric stays within the threshold, or ``None``
-    when no conductance qualifies.
-    """
+    """``entries``: (gate voltage, conductance cutoff) pairs, the cutoff
+    ``None`` when no conductance qualifies (see :func:`cutoff_table`)."""
 
     entries: tuple
 
@@ -125,82 +121,92 @@ def linear_vin_range(curve: GeffCurve,
     """Widest contiguous read-voltage window of ``curve`` with tm <= threshold.
 
     Returns ``(v_lo, v_hi)`` grid values, or ``None`` when no window of at
-    least two points qualifies.  Ties go to the lowest window.  The windowed
-    metric is non-decreasing as a window grows, so each start index can stop
-    extending at the first violation.
+    least two points qualifies; ties go to the lowest window.  The windowed
+    metric never falls as a window grows, so each start extends to its first
+    violation.
     """
     _check_threshold(tm_threshold)
-    grid, g = curve.v_in, curve.g_eff
+    grid, g = curve.v_in, np.asarray(curve.g_eff, dtype=float)
     n = g.size
-    best = None  # (start, stop) inclusive
-    for i in range(n - 1):
-        g_max = g_min = g[i]
-        for j in range(i + 1, n):
-            g_max = max(g_max, g[j])
-            g_min = min(g_min, g[j])
-            if g_max <= 0.0 or (g_max - g_min) / g_max > tm_threshold:
-                break
-            if best is None or j - i > best[1] - best[0]:
-                best = (i, j)
-    if best is None:
+    if n < 2:
         return None
-    return float(grid[best[0]]), float(grid[best[1]])
+    # Row i holds g[i:] then padding; the window i..i+k fails past the end.
+    w = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((g, np.zeros(n))), n + 1)[:n]
+    g_max, g_min = (f.accumulate(w, axis=1) for f in (np.maximum, np.minimum))
+    with np.errstate(all="ignore"):
+        fails = ((np.arange(n + 1) >= np.arange(n, 0, -1)[:, None])
+                 | (g_max <= 0.0) | ((g_max - g_min) / g_max > tm_threshold))
+    span = np.argmax(fails[:, 1:], axis=1)  # points past the start that pass
+    if span.max() < 1:
+        return None
+    start = int(np.argmax(span))
+    return float(grid[start]), float(grid[start + span[start]])
 
 
 def _tm_rows(g_eff_rows: np.ndarray) -> np.ndarray:
     """Tolerance metric per row; rows without conductance fail as inf."""
-    g_max = g_eff_rows.max(axis=1)
-    g_min = g_eff_rows.min(axis=1)
+    g_max, g_min = g_eff_rows.max(axis=1), g_eff_rows.min(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        tm = (g_max - g_min) / g_max
-    return np.where(g_max > 0.0, tm, np.inf)
+        return np.where(g_max > 0.0, (g_max - g_min) / g_max, np.inf)
 
 
 def find_gm_cutoff(v_g: float, t: TransistorParams, mem: MemristorParams,
                    tm_threshold: float = DEFAULT_TM_THRESHOLD,
                    v_supply: float = DEFAULT_V_SUPPLY,
                    mode: DeviceMode = ANALYTICAL):
-    """Largest grid conductance in [g_off, g_on] with full-range tm <= threshold.
+    """Cutoff at one gate voltage: :func:`cutoff_table` of ``[v_g]``."""
+    return cutoff_table([v_g], t, mem, tm_threshold, v_supply, mode).lookup(v_g)
 
-    The search grid is ``DEFAULT_GM_POINTS`` uniform values including both
-    range ends, so a fully linear device returns exactly ``g_on``.  Returns
-    ``None`` when no grid point passes.
 
-    Only rows that can decide the cutoff are solved in full: a row fails when
-    its spread over a few probe voltages, which never exceeds its full
-    spread, is above the threshold; the rest are solved from ``g_on`` down.
-    Each cell stops on its own, so this matches solving every cell.
-    """
-    _check_threshold(tm_threshold)
-    gms = np.linspace(mem.g_off, mem.g_on, DEFAULT_GM_POINTS)
-    grid = default_vin_grid(v_supply)
-    probe = np.isin(np.arange(grid.size), _PROBE_POINTS)
-    _, _, g_probe = solve_synapse_grid(gms[:, None], grid[probe], v_g, t, mode)
-    # The margin covers the rounding of the probe's and the row's ratios.
-    alive = np.flatnonzero(_tm_rows(g_probe) <= tm_threshold * (1 + 1e-12))
-    for start in range(0, alive.size, _SCAN_CHUNK):
-        rows = alive[::-1][start:start + _SCAN_CHUNK]
-        _, _, g_rest = solve_synapse_grid(gms[rows, None], grid[~probe], v_g,
-                                          t, mode)
-        passing = _tm_rows(np.hstack((g_probe[rows], g_rest))) <= tm_threshold
-        if passing.any():
-            return float(gms[rows[np.argmax(passing)]])
-    return None
+def _solve_rows(g_m, v_g, v_in, t, mode):
+    """``g_eff`` per (g_m, v_g) row and v_in, in ``_MVM_BLOCK_CELLS`` calls."""
+    step = max(1, _MVM_BLOCK_CELLS // v_in.size)
+    return np.concatenate([
+        solve_synapse_grid(g_m[s:s + step, None], v_in, v_g[s:s + step, None],
+                           t, mode)[2] for s in range(0, g_m.size, step)])
 
 
 def cutoff_table(v_g_values, t: TransistorParams, mem: MemristorParams,
                  tm_threshold: float = DEFAULT_TM_THRESHOLD,
                  v_supply: float = DEFAULT_V_SUPPLY,
                  mode: DeviceMode = ANALYTICAL) -> CutoffTable:
-    """Cutoff scan over a list of gate voltages."""
-    v_g_values = [float(v) for v in v_g_values]
-    if not v_g_values:
+    """Per gate voltage, the largest of ``DEFAULT_GM_POINTS`` uniform grid
+    conductances in [g_off, g_on] (so a fully linear device gives ``g_on``)
+    whose full-range tm stays within the threshold, else ``None``.
+
+    All gate voltages share each solve call (of at most ``_MVM_BLOCK_CELLS``
+    cells).  Every row is solved at a few probe read voltages; a row whose
+    probe spread, never above its full spread, exceeds the threshold fails.
+    Each round then solves the next ``_SCAN_CHUNK`` surviving rows, from
+    ``g_on`` down, of every gate voltage still without a cutoff.  Each cell
+    stops on its own, so this matches solving every cell.
+    """
+    v_gs = np.array([float(v) for v in v_g_values])
+    if not v_gs.size:
         raise DomainError("cutoff_table needs at least one gate voltage")
-    entries = tuple(
-        (vg, find_gm_cutoff(vg, t, mem, tm_threshold, v_supply, mode))
-        for vg in v_g_values
-    )
-    return CutoffTable(entries)
+    _check_threshold(tm_threshold)
+    gms = np.linspace(mem.g_off, mem.g_on, DEFAULT_GM_POINTS)
+    grid = default_vin_grid(v_supply)
+    probe = np.isin(np.arange(grid.size), _PROBE_POINTS)
+    g_probe = _solve_rows(np.tile(gms, v_gs.size), v_gs.repeat(gms.size),
+                          grid[probe], t, mode).reshape(v_gs.size, gms.size, -1)
+    # The margin covers the rounding of the probe's and the row's ratios.
+    queues = [np.flatnonzero(_tm_rows(g) <= tm_threshold * (1 + 1e-12))[::-1]
+              for g in g_probe]
+    cutoffs = [None] * v_gs.size
+    while any(q.size for q in queues):
+        chunks = [q[:_SCAN_CHUNK] for q in queues]
+        k = np.repeat(np.arange(v_gs.size), [c.size for c in chunks])
+        rows = np.concatenate(chunks)
+        g_rest = _solve_rows(gms[rows], v_gs[k], grid[~probe], t, mode)
+        hits = np.flatnonzero(_tm_rows(np.hstack((g_probe[k, rows], g_rest)))
+                              <= tm_threshold)
+        for i, j in zip(*np.unique(k[hits], return_index=True)):
+            cutoffs[i] = float(gms[rows[hits[j]]])  # its first passing row
+        queues = [q[:0] if c is not None else q[_SCAN_CHUNK:]
+                  for q, c in zip(queues, cutoffs)]
+    return CutoffTable(tuple(zip(v_gs.tolist(), cutoffs)))
 
 
 def write_cutoff_csv(table: CutoffTable, path) -> None:
@@ -211,12 +217,22 @@ def write_cutoff_csv(table: CutoffTable, path) -> None:
 
 def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,
                       t: TransistorParams, mem: MemristorParams,
-                      v_supply: float = DEFAULT_V_SUPPLY,
-                      seed: int = 0,
+                      v_supply: float = DEFAULT_V_SUPPLY, seed: int = 0,
                       mode: DeviceMode = ANALYTICAL,
                       c_gate: float = DEFAULT_C_GATE,
                       pulse_width: float = DEFAULT_PULSE_WIDTH) -> PowerReport:
-    """Monte Carlo estimate of the mean per-synapse read power.
+    """Monte Carlo read power at one gate voltage (see :func:`power_table`)."""
+    return power_table(rows, cols, n_samples, [v_g], t, mem, v_supply, seed,
+                       mode, c_gate, pulse_width)[0]
+
+
+def power_table(rows: int, cols: int, n_samples: int, v_g_values,
+                t: TransistorParams, mem: MemristorParams,
+                v_supply: float = DEFAULT_V_SUPPLY, seed: int = 0,
+                mode: DeviceMode = ANALYTICAL, c_gate: float = DEFAULT_C_GATE,
+                pulse_width: float = DEFAULT_PULSE_WIDTH) -> tuple:
+    """Monte Carlo estimate of the mean per-synapse read power, one
+    :class:`PowerReport` per gate voltage.
 
     Each sample programs the array from standard-normal weights clipped to
     [-3, 3] through the usual weight-to-conductance map and drives every row
@@ -224,11 +240,13 @@ def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,
     power is the cell's ``v_in * current`` plus the per-row gate charging
     share ``c_gate * v_g**2 / pulse_width`` spread over the row.
 
-    Samples are drawn and solved in slices of at most ``_MVM_BLOCK_CELLS``
-    cells (or one sample), which bounds memory.  Every sample draws from its
-    own seed-and-index random stream and is reduced on its own, so the
-    estimate does not depend on the slicing.
+    Samples are drawn and mapped once per slice of at most
+    ``_MVM_BLOCK_CELLS`` cells (or one sample), which bounds memory, then
+    solved at each gate voltage.  Every sample draws from its own
+    seed-and-index random stream and is reduced on its own, so no estimate
+    depends on the slicing or on the other gate voltages.
     """
+    v_gs = [float(v) for v in v_g_values]
     if rows < 1 or cols < 1 or n_samples < 1:
         raise DomainError("rows, cols and n_samples must be at least 1")
     if seed < 0:
@@ -239,7 +257,7 @@ def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,
         raise DomainError("c_gate must be >= 0 and pulse_width > 0, finite")
     scale = mapping.scale_from_range(_MC_WEIGHT_RANGE, mem)
     step = max(1, _MVM_BLOCK_CELLS // (rows * cols))
-    per_sample = np.empty(n_samples)
+    per_sample = np.empty((len(v_gs), n_samples))
     for s in range(0, n_samples, step):
         ids = range(s, min(s + step, n_samples))
         weights = np.empty((len(ids), rows, cols))
@@ -248,14 +266,14 @@ def power_monte_carlo(rows: int, cols: int, n_samples: int, v_g: float,
             rng = np.random.default_rng([seed, i])
             weights[k] = rng.standard_normal((rows, cols))
             v_read[k] = rng.uniform(0.0, v_supply, rows)
-        clipped = mapping.clip_weights(weights, _MC_WEIGHT_RANGE)
-        pair = mapping.weight_to_conductance(clipped, scale)
+        pair = mapping.weight_to_conductance(
+            mapping.clip_weights(weights, _MC_WEIGHT_RANGE), scale)
         g_m = np.maximum(pair.g_plus, pair.g_minus)  # the side carrying |w|
-        current, _, _ = solve_synapse_grid(g_m, v_read[:, :, None], v_g, t,
-                                           mode)
-        resistive = (v_read[:, :, None] * current).sum(axis=(1, 2))
         active_rows = (v_read > 0.0).sum(axis=1)
-        gate = active_rows * c_gate * v_g * v_g / pulse_width
-        per_sample[ids.start:ids.stop] = (resistive + gate) / (rows * cols)
-    return PowerReport(float(v_g), float(np.mean(per_sample)),
-                       n_samples, seed, rows, cols, per_sample)
+        for v_g, out in zip(v_gs, per_sample):  # no solve outlives its use
+            resistive = (v_read[:, :, None] * solve_synapse_grid(
+                g_m, v_read[:, :, None], v_g, t, mode)[0]).sum(axis=(1, 2))
+            out[ids.start:ids.stop] = (resistive + active_rows * c_gate * v_g
+                                       * v_g / pulse_width) / (rows * cols)
+    return tuple(PowerReport(v_g, float(np.mean(p)), n_samples, seed, rows,
+                             cols, p) for v_g, p in zip(v_gs, per_sample))

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .characterize import (DEFAULT_TM_THRESHOLD, DEFAULT_V_SUPPLY,
-                           cutoff_table, linear_vin_range, power_monte_carlo,
+                           cutoff_table, linear_vin_range, power_table,
                            sweep_geff, tolerance_metric, write_cutoff_csv)
 from .crossbar import DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH
 from .data import make_blobs, read_dataset_csv
@@ -238,17 +238,14 @@ def cmd_cutoff(args, out: Path) -> int:
 
 def cmd_power_mc(args, out: Path) -> int:
     t, mem = _device(args)
-    mode = _DEVICE_MODES[args.device_mode]
-    rows = []
-    for vg in parse_vg_values(args.vg):
-        report = power_monte_carlo(args.rows, args.cols, args.samples, vg,
-                                   t, mem, v_supply=args.vsupply,
-                                   seed=args.seed, mode=mode,
-                                   c_gate=args.c_gate,
-                                   pulse_width=args.pulse_width)
-        rows.append((vg, report.mean_power))
-    _write_csv(out / "power.csv", ["v_g", "mean_power_W"], rows)
-    print(f"wrote power.csv ({len(rows)} rows)")
+    reports = power_table(args.rows, args.cols, args.samples,
+                          parse_vg_values(args.vg), t, mem,
+                          v_supply=args.vsupply, seed=args.seed,
+                          mode=_DEVICE_MODES[args.device_mode],
+                          c_gate=args.c_gate, pulse_width=args.pulse_width)
+    _write_csv(out / "power.csv", ["v_g", "mean_power_W"],
+               [(r.v_g, r.mean_power) for r in reports])
+    print(f"wrote power.csv ({len(reports)} rows)")
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, _write_csv
+from .errors import DomainError, _write_csv, atomic_write
 
 N_FEATURES = 16
 N_CLASSES = 3
@@ -68,8 +68,12 @@ def write_dataset_csv(path, x, y) -> None:
     if not np.all((labels >= 0) & (labels < 2.0 ** 63)
                   & (np.floor(labels) == labels)):
         raise DomainError("labels must be non-negative integers")
-    _write_csv(path, [f"f{i}" for i in range(x.shape[1])] + ["label"],
-               (row.tolist() + [int(label)] for row, label in zip(x, y)))
+    if not np.all(np.isfinite(x)):  # _write_csv rejects it, writing nothing
+        _write_csv(path, [], x.tolist())
+    line = ",".join(["%.9g"] * x.shape[1] + ["%d"]) + "\r\n"  # as _write_csv
+    with atomic_write(path, newline="") as fh:
+        fh.write("".join(f"f{i}," for i in range(x.shape[1])) + "label\r\n")
+        fh.writelines(line % (*r.tolist(), i) for r, i in zip(x, y.tolist()))
 
 
 def _loadtxt(lines, dtype):

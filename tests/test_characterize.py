@@ -10,8 +10,8 @@ from onetr import characterize
 from onetr import (ANALYTICAL, IDEAL_SWITCH, CutoffLookupError, CutoffTable,
                    DomainError, GeffCurve, TransistorParams, cutoff_table,
                    default_vin_grid, find_gm_cutoff, linear_vin_range,
-                   power_monte_carlo, sweep_geff, tolerance_metric,
-                   write_cutoff_csv)
+                   power_monte_carlo, power_table, sweep_geff,
+                   tolerance_metric, write_cutoff_csv)
 
 
 def test_default_grid_spans_supply():
@@ -81,6 +81,36 @@ def test_linear_range_none_when_threshold_unreachable(device):
     t, mem = device
     assert linear_vin_range(sweep_geff(mem.g_on, 0.8, t),
                             tm_threshold=1e-9) is None
+
+
+def _loop_window(v_in, g, thr):
+    """The quadratic scan linear_vin_range used to run, kept as its oracle:
+    each start extends until its running spread first exceeds thr."""
+    best = None
+    for i in range(len(g) - 1):
+        g_max = g_min = g[i]
+        for j in range(i + 1, len(g)):
+            g_max, g_min = max(g_max, g[j]), min(g_min, g[j])
+            if g_max <= 0.0 or (g_max - g_min) / g_max > thr:
+                break
+            if best is None or j - i > best[1] - best[0]:
+                best = (i, j)
+    return None if best is None else (float(v_in[best[0]]),
+                                      float(v_in[best[1]]))
+
+
+@settings(max_examples=200)
+@given(g=st.lists(st.one_of(st.sampled_from([0.0, -1.0, 1.0, 0.99, 0.975,
+                                               1.025, 2.0, np.inf, -np.inf]),
+                            st.floats(-1e3, 1e3)), max_size=40),
+       thr=st.one_of(st.sampled_from([0.01, 0.025, 0.5]),
+                     st.floats(1e-9, 0.999)))
+def test_linear_range_matches_quadratic_scan(g, thr):
+    g = np.array(g, dtype=float)
+    v_in = 0.5 * np.arange(1, g.size + 1) / max(g.size, 1)
+    with np.errstate(all="ignore"):  # spreads may overflow to inf
+        want = _loop_window(v_in, g, thr)
+    assert linear_vin_range(GeffCurve(1e-5, 0.8, v_in, g), thr) == want
 
 
 def test_stressed_window_sits_at_high_read_voltages(stressed):
@@ -165,23 +195,67 @@ def test_cutoff_scan_matches_exhaustive_solve_on_random_devices(
             == _exhaustive_cutoff(v_g, t, mem, thr, v_supply))
 
 
-def test_cutoff_scan_solves_few_cells(device, stressed, monkeypatch):
-    # A fine-grid scan solves every conductance at a few read voltages and
-    # only the rows near the cutoff at all of them.
+def _recorded_solves(monkeypatch):
+    """Cell count of every solve call that characterize makes."""
     cells = []
     solve = characterize.solve_synapse_grid
 
-    def recording(g_m, v_in, *args):
-        cells.append(np.broadcast(g_m, v_in).size)
-        return solve(g_m, v_in, *args)
+    def recording(g_m, v_in, v_g, *args):
+        cells.append(np.broadcast(g_m, v_in, v_g).size)
+        return solve(g_m, v_in, v_g, *args)
 
     monkeypatch.setattr(characterize, "solve_synapse_grid", recording)
+    return cells
+
+
+def test_cutoff_scan_solves_few_cells(device, stressed, monkeypatch):
+    # A fine-grid scan solves every conductance at a few read voltages and
+    # only the rows near the cutoff at all of them.
+    cells = _recorded_solves(monkeypatch)
     v_gs = np.round(0.70 + 0.02 * np.arange(16), 2)
     full = 16 * characterize.DEFAULT_GM_POINTS * characterize.DEFAULT_VIN_POINTS
     for (t, mem), share in ((device, 1 / 4), (stressed, 1 / 8)):
         cells.clear()
         cutoff_table(v_gs, t, mem)
         assert 0 < sum(cells) <= share * full
+        assert len(cells) <= 4  # all gate voltages share each solve call
+
+
+@pytest.mark.parametrize("which, mode, thr", [
+    ("default", ANALYTICAL, 0.025),
+    ("stressed", ANALYTICAL, 0.999),
+    ("default", IDEAL_SWITCH, 0.025),
+])
+def test_cutoff_table_matches_per_voltage_scan(request, monkeypatch, which,
+                                               mode, thr):
+    # 90 gate voltages of 768 probe cells each need two probe calls.
+    t, mem = request.getfixturevalue("device" if which == "default"
+                                     else "stressed")
+    v_gs = np.linspace(0.0, 1.3, 90)
+    cells = _recorded_solves(monkeypatch)
+    table = cutoff_table(v_gs, t, mem, thr, 0.5, mode)
+    rows = characterize._MVM_BLOCK_CELLS // 3
+    assert cells[:2] == [3 * rows, 3 * (90 * 256 - rows)]  # the probe
+    assert 0 < max(cells) <= characterize._MVM_BLOCK_CELLS
+    assert table.gate_voltages() == v_gs.tolist()
+    assert [c for _, c in table.entries] == [
+        find_gm_cutoff(v_g, t, mem, thr, 0.5, mode) for v_g in v_gs]
+    assert [c for _, c in table.entries] == [
+        _exhaustive_cutoff(v_g, t, mem, thr, 0.5, mode) for v_g in v_gs]
+
+
+@pytest.mark.parametrize("block, chunk", [(1000, 16), (61, 3), (1, 1)])
+def test_cutoff_table_does_not_depend_on_the_solve_blocks(
+        device, stressed, monkeypatch, block, chunk):
+    v_gs = [0.3, 0.72, 0.8, 0.85, 1.0]
+    for t, mem in (device, stressed):
+        want = cutoff_table(v_gs, t, mem, 0.01)
+        monkeypatch.setattr(characterize, "_MVM_BLOCK_CELLS", block)
+        monkeypatch.setattr(characterize, "_SCAN_CHUNK", chunk)
+        cells = _recorded_solves(monkeypatch)
+        assert cutoff_table(v_gs, t, mem, 0.01) == want
+        assert max(cells) <= max(block, 61)
+        monkeypatch.undo()
 
 
 def test_cutoff_none_when_nothing_passes(stressed):
@@ -219,14 +293,7 @@ def test_power_sample_streams_are_batch_invariant(device):
 
 def test_power_mc_solves_in_bounded_slices(device, monkeypatch):
     t, mem = device
-    cells = []
-    solve = characterize.solve_synapse_grid
-
-    def recording(g_m, v_in, *args):
-        cells.append(np.broadcast(g_m, v_in).size)
-        return solve(g_m, v_in, *args)
-
-    monkeypatch.setattr(characterize, "solve_synapse_grid", recording)
+    cells = _recorded_solves(monkeypatch)
     sliced = power_monte_carlo(64, 64, 400, 0.9, t, mem, seed=3)
     assert sum(cells) == 400 * 64 * 64
     assert max(cells) <= characterize._MVM_BLOCK_CELLS
@@ -235,6 +302,31 @@ def test_power_mc_solves_in_bounded_slices(device, monkeypatch):
     assert cells[-1] == 400 * 64 * 64  # the reference is one unsliced solve
     assert np.array_equal(sliced.sample_powers, whole.sample_powers)
     assert sliced.mean_power == whole.mean_power
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6),
+       n_samples=st.integers(1, 9), block=st.integers(1, 200),
+       v_gs=st.lists(st.sampled_from([0.0, 0.3, 0.8, 0.9, 1.3]), min_size=1,
+                     max_size=4),
+       mode=st.sampled_from([ANALYTICAL, IDEAL_SWITCH]))
+def test_power_table_matches_per_voltage_runs(device, rows, cols, n_samples,
+                                              block, v_gs, mode):
+    # One draw per slice at every voltage equals one run per voltage, bit
+    # for bit, whatever the slicing; no solve exceeds the cell budget.
+    t, mem = device
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characterize, "_MVM_BLOCK_CELLS", block)
+        cells = _recorded_solves(mp)
+        reports = power_table(rows, cols, n_samples, v_gs, t, mem, seed=4,
+                              mode=mode, c_gate=1e-15)
+    assert max(cells) <= max(block, rows * cols)
+    assert [r.v_g for r in reports] == v_gs
+    for v_g, report in zip(v_gs, reports):
+        alone = power_monte_carlo(rows, cols, n_samples, v_g, t, mem, seed=4,
+                                  mode=mode, c_gate=1e-15)
+        assert np.array_equal(report.sample_powers, alone.sample_powers)
+        assert report.mean_power == alone.mean_power
 
 
 def test_power_matches_closed_form_in_ideal_limit(device):

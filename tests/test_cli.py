@@ -199,7 +199,7 @@ def test_usage_errors_exit_2(tmp_path, monkeypatch, trained_checkpoint,
         raise AssertionError("a usage error reached the device solver")
 
     monkeypatch.setattr("onetr.cli.cutoff_table", no_scan)
-    monkeypatch.setattr("onetr.cli.power_monte_carlo", no_scan)
+    monkeypatch.setattr("onetr.cli.power_table", no_scan)
     huge = "0.7:1.0:1e-7"  # 3,000,001 points
     ckpt = ["--checkpoint", trained_checkpoint]
     software = ["eval", *ckpt, "--mode", "software"]

@@ -5,6 +5,7 @@ import pytest
 
 from onetr import DomainError, make_blobs, read_dataset_csv, write_dataset_csv
 from onetr.data import N_CLASSES, N_FEATURES
+from onetr.errors import _write_csv
 
 
 def test_blob_shapes_and_ranges(blobs):
@@ -42,6 +43,21 @@ def test_dataset_csv_round_trip(tmp_path, blobs):
         assert (got_x.dtype, got_y.dtype) == (want_x.dtype, y.dtype)
         assert got_x.flags.c_contiguous and got_y.flags.c_contiguous
         assert np.allclose(got_x, x, rtol=1e-8)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, float])
+def test_dataset_csv_bytes_are_the_artifact_writers(tmp_path, blobs, dtype):
+    # The dataset writer formats a row at a time; its bytes must stay those
+    # of the generic artifact writer, cell by cell.
+    edge = [-0.0, 1e300, 5e-324, 1e-7, 123456789.5, 0.1] + [2.0] * 10
+    x = np.vstack((blobs.x_test, edge))
+    y = np.append(blobs.y_test, 2 ** 53).astype(dtype)
+    write_dataset_csv(tmp_path / "fast.csv", x, y)
+    _write_csv(tmp_path / "cells.csv",
+               [f"f{i}" for i in range(N_FEATURES)] + ["label"],
+               (row + [int(label)] for row, label in zip(x.tolist(), y)))
+    assert ((tmp_path / "fast.csv").read_bytes()
+            == (tmp_path / "cells.csv").read_bytes())
 
 
 @pytest.mark.parametrize("label", [-1, 2.7, float("nan"), float("inf"),

@@ -42,6 +42,9 @@ RUNS = [
     (0, "power", ["power-mc", "--samples", "20"]),
     (0, "power_stressed_ideal", ["power-mc", "--samples", "20", *STRESSED,
                                  *IDEAL]),
+    # several memory-bounded sample slices, each solved at five voltages
+    (0, "power_sliced", ["power-mc", "--vg", "0.5,0.8,0.9,1.0,1.2", "--rows",
+                         "64", "--cols", "64", "--samples", "40"]),
     (0, "sched_step_down", ["search-vg", "--checkpoint", BASE, "--step-down"]),
     (0, "eval_software", ["eval", "--checkpoint", NEAT]),
     (0, "eval_ideal", ["eval", "--checkpoint", NEAT, "--mode", "crossbar",
