@@ -241,10 +241,10 @@ def power_table(rows: int, cols: int, n_samples: int, v_g_values,
     share ``c_gate * v_g**2 / pulse_width`` spread over the row.
 
     Samples are drawn and mapped once per slice of at most
-    ``_MVM_BLOCK_CELLS`` cells (or one sample), which bounds memory, then
-    solved at each gate voltage.  Every sample draws from its own
-    seed-and-index random stream and is reduced on its own, so no estimate
-    depends on the slicing or on the other gate voltages.
+    ``_MVM_BLOCK_CELLS`` cells (or one sample), then solved at each gate
+    voltage in row blocks of at most that many cells (or one row).  Every
+    sample draws from its own seed-and-index random stream and is reduced on
+    its own, so no estimate depends on the slicing or on the other voltages.
     """
     v_gs = [float(v) for v in v_g_values]
     if rows < 1 or cols < 1 or n_samples < 1:
@@ -257,6 +257,7 @@ def power_table(rows: int, cols: int, n_samples: int, v_g_values,
         raise DomainError("c_gate must be >= 0 and pulse_width > 0, finite")
     scale = mapping.scale_from_range(_MC_WEIGHT_RANGE, mem)
     step = max(1, _MVM_BLOCK_CELLS // (rows * cols))
+    row_step = max(1, _MVM_BLOCK_CELLS // cols)
     per_sample = np.empty((len(v_gs), n_samples))
     for s in range(0, n_samples, step):
         ids = range(s, min(s + step, n_samples))
@@ -270,9 +271,13 @@ def power_table(rows: int, cols: int, n_samples: int, v_g_values,
             mapping.clip_weights(weights, _MC_WEIGHT_RANGE), scale)
         g_m = np.maximum(pair.g_plus, pair.g_minus)  # the side carrying |w|
         active_rows = (v_read > 0.0).sum(axis=1)
+        current = np.empty(weights.shape)
         for v_g, out in zip(v_gs, per_sample):  # no solve outlives its use
-            resistive = (v_read[:, :, None] * solve_synapse_grid(
-                g_m, v_read[:, :, None], v_g, t, mode)[0]).sum(axis=(1, 2))
+            for r in range(0, rows, row_step):
+                block = slice(r, r + row_step)
+                current[:, block] = solve_synapse_grid(
+                    g_m[:, block], v_read[:, block, None], v_g, t, mode)[0]
+            resistive = (v_read[:, :, None] * current).sum(axis=(1, 2))
             out[ids.start:ids.stop] = (resistive + active_rows * c_gate * v_g
                                        * v_g / pulse_width) / (rows * cols)
     return tuple(PowerReport(v_g, float(np.mean(p)), n_samples, seed, rows,

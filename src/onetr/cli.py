@@ -5,6 +5,7 @@ configuration echo, seed, toolkit version, exit code; written last) into the
 chosen output directory, so a run is reproducible from the manifest alone.
 Every option a subcommand declares is one it reads. Output directories are
 guarded by a lock file; concurrent runs into the same directory are refused.
+``main`` parses with one parser per process, built on its first call.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 domain (invalid values, degenerate
 inputs). Errors print a single line ``error: <message>`` on stderr.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from pathlib import Path
@@ -41,6 +43,7 @@ MANIFEST_FILE_VERSION = 1
 _DEVICE_MODES = {"analytical": ANALYTICAL, "ideal_switch": IDEAL_SWITCH}
 DEFAULT_VG_GRID = "0.7:1.0:0.05"
 MAX_VG_POINTS = 1024  # longest gate-voltage grid a spec may expand to
+_parser = functools.cache(lambda: build_parser())  # main's, built once
 # Declared defaults of the options that some argv forms never read.
 _DEFAULTS = {"schedule": None, "vg": None, "vg_grid": DEFAULT_VG_GRID,
              "tm": DEFAULT_TM_THRESHOLD, "device": "default",
@@ -534,9 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -6,8 +6,8 @@ Everything is seeded and updates run serially, so two runs from the same
 configuration produce bit-identical parameters.
 
 A step's arrays are at most batch by widest layer, so its cost is the count
-of numpy calls: it works in place, reuses buffers across steps, and keeps
-the textbook expression order, so the parameters match it bit for bit.
+of numpy calls: each writes into a workspace made once per batch row count,
+in the textbook expression order, so the parameters match it bit for bit.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ class Dense:
             raise DomainError("inconsistent dense layer shapes")
         if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
             raise DomainError("dense layer parameters must be finite")
-        self.dw, self.db = np.zeros_like(self.w), np.zeros_like(self.b)
-        self.x = None  # input of the latest forward, read by backward
+        self.x = None  # input of the latest forward
 
     @classmethod
     def init(cls, in_dim: int, out_dim: int, rng) -> "Dense":
@@ -59,33 +58,70 @@ class Dense:
         return cls(w, np.zeros(out_dim))
 
     def forward(self, x):
-        """``x @ w + b`` as a new array the caller may change in place;
-        keeps ``x`` for backward."""
+        """``x @ w + b`` as a new array the caller may change; keeps ``x``."""
         self.x = x
         out = x @ self.w
         out += self.b
         return out
 
-    def backward(self, grad_out):
-        """Fills ``dw`` and ``db``; the input gradient is the caller's."""
-        np.matmul(self.x.T, grad_out, out=self.dw)
-        grad_out.sum(axis=0, out=self.db)
+
+class _Workspace:
+    """A training step of ``model`` on ``b`` rows: its buffers (each layer's
+    output, a float 0/1 ReLU mask and input gradient per hidden layer, a
+    ``(b, 1)`` column and a row) and, per layer, the views it reads."""
+
+    # 0-d operands: numpy converts a Python scalar operand on every call.
+    zero, one, tiny = (np.array(v) for v in (0.0, 1.0, 1e-300))
+
+    def __init__(self, model, b: int):
+        layers = model.layers
+        self.outs = [np.empty((b, d)) for d in model.dims[1:]]
+        masks = [np.empty_like(o) for o in self.outs[:-1]] + [None]
+        self.forward = [(l.w, l.b, o, m)
+                        for l, o, m in zip(layers, self.outs, masks)]
+        self.backward = [(o.T, l.dw, l.db, l.w.T, np.empty_like(o), m)
+                         for l, o, m in zip(layers[:0:-1], self.outs[-2::-1],
+                                            masks[-2::-1])]
+        self.first = layers[0]
+        self.col, self.spare = np.empty((b, 1)), np.empty(b)
+        self.n, self.picked = np.array(float(b)), self.col.reshape(b)
+        self.flat_logits = self.outs[-1].reshape(-1)  # views, as is picked
+
+    def loss_and_gradients(self, x, flat_labels):
+        """Mean cross-entropy on ``b`` rows ``x`` with the labels as flat
+        logit indices; gradients land in the model's ``flat_grads``. Its
+        ``np.dot`` calls are matmul's BLAS calls at less cost per call."""
+        out = x
+        for w, b, o, mask in self.forward:
+            out = np.dot(out, w, out=o)
+            out += b
+            if mask is not None:  # ReLU, the same bits as a boolean mask
+                out *= np.greater(out, self.zero, out=mask)
+        loss, grad = _softmax_cross_entropy_(self, flat_labels), out
+        for x_t, dw, db, w_t, g_in, mask in self.backward:
+            np.dot(x_t, grad, out=dw)
+            np.add.reduce(grad, axis=0, out=db)
+            grad = np.dot(grad, w_t, out=g_in)
+            grad *= mask
+        # The first layer: nothing reads its input gradient.
+        np.dot(x.T, grad, out=self.first.dw)
+        np.add.reduce(grad, axis=0, out=self.first.db)
+        return loss
 
 
-def _softmax_cross_entropy_(logits, flat_labels):
-    """In place: turns the C-ordered ``logits`` into the gradient of the mean
-    cross-entropy and returns the loss. ``flat_labels`` index the raveled
-    logits: ``row * classes + label``."""
-    n = logits.shape[0]
-    logits -= logits.max(axis=1, keepdims=True)
+def _softmax_cross_entropy_(ws: _Workspace, flat_labels):
+    """In place: turns the logits in ``ws.outs[-1]`` into the gradient of
+    the mean cross-entropy and returns the loss. ``flat_labels`` index the
+    raveled logits: ``row * classes + label``."""
+    logits, col, flat, picked = ws.outs[-1], ws.col, ws.flat_logits, ws.picked
+    logits -= np.maximum.reduce(logits, axis=1, out=col, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    flat = logits.reshape(-1)  # a view
-    picked = flat.take(flat_labels)
-    flat.put(flat_labels, picked - 1.0)
-    np.maximum(picked, 1e-300, out=picked)
-    loss = -(np.log(picked, out=picked).sum() / n)
-    logits /= n
+    logits /= np.add.reduce(logits, axis=1, out=col, keepdims=True)
+    flat.take(flat_labels, out=picked)
+    flat.put(flat_labels, np.subtract(picked, ws.one, out=ws.spare))
+    np.maximum(picked, ws.tiny, out=picked)
+    loss = -(np.add.reduce(np.log(picked, out=picked)) / picked.size)
+    logits /= ws.n
     return float(loss)
 
 
@@ -127,37 +163,22 @@ class Model:
         return [self.layers[0].w.shape[0]] + [l.w.shape[1] for l in self.layers]
 
     def forward(self, x):
-        """Logits; each layer keeps its input (``layer.x``) and each hidden
-        ReLU its mask, for backward."""
+        """Logits as new arrays; each layer keeps its input (``layer.x``)."""
         out = np.asarray(x, dtype=float)
-        self._relu_masks = []
         for layer in self.layers[:-1]:
             out = layer.forward(out)
-            mask = out > 0.0
-            out *= mask  # ReLU
-            self._relu_masks.append(mask)
+            out *= out > 0.0  # ReLU
         return self.layers[-1].forward(out)
 
     def predict(self, x):
         return np.argmax(self.forward(x), axis=1)
 
     def loss_and_gradients(self, x, y):
-        """Mean cross-entropy on ``(x, y)``; gradients land in
-        ``flat_grads``."""
-        rows = np.arange(np.shape(x)[0])
-        return self._loss_and_gradients(x, np.ravel_multi_index(
-            (rows, y), (rows.size, self.layers[-1].w.shape[1])))
-
-    def _loss_and_gradients(self, x, flat_labels):
-        """``loss_and_gradients`` with the labels as flat logit indices."""
-        grad = self.forward(x)
-        loss = _softmax_cross_entropy_(grad, flat_labels)
-        for layer, mask in zip(self.layers[:0:-1], self._relu_masks[::-1]):
-            layer.backward(grad)
-            grad = grad @ layer.w.T
-            grad *= mask
-        self.layers[0].backward(grad)
-        return loss
+        """Mean cross-entropy on ``(x, y)``; gradients land in ``flat_grads``."""
+        x = np.asarray(x, dtype=float)
+        labels = np.ravel_multi_index((np.arange(len(x)), y),
+                                      (len(x), self.dims[-1]))
+        return _Workspace(self, len(x)).loss_and_gradients(x, labels)
 
     def copy(self) -> "Model":
         # Model() packs fresh buffers, so the layers need not copy.
@@ -208,9 +229,13 @@ class Adam:
             self._decay = np.empty(shape)
             self._decay[0], self._decay[1] = self.beta1, self.beta2
             self._gain = 1 - self._decay
+            # Views and 0-d operands made once: each costs about a ufunc
+            # call when made per step.
+            self._views = (*self._mv, *self._hat)
+            self._eps, self._lr = np.array(self.eps), np.array(self.lr)
         self.t += 1
         mv, hat = self._mv, self._hat
-        (m, v), (m_hat, v_hat) = mv, hat
+        m, v, m_hat, v_hat = self._views
         mv *= self._decay
         np.multiply(self._gain, g, out=hat)
         v_hat *= g  # ((1 - b2) * g) * g
@@ -218,8 +243,8 @@ class Adam:
         np.divide(m, 1 - self.beta1 ** self.t, out=m_hat)
         np.divide(v, 1 - self.beta2 ** self.t, out=v_hat)
         np.sqrt(v_hat, out=v_hat)
-        v_hat += self.eps
-        m_hat *= self.lr
+        v_hat += self._eps
+        m_hat *= self._lr
         m_hat /= v_hat
         p -= m_hat
 
@@ -247,6 +272,7 @@ def train(model: Model, x, y, config: TrainConfig, rng=None,
     n, size = x.shape[0], config.batch_size
     # Each row's label as an index into its batch's raveled logits.
     slots = np.arange(n) % size * classes
+    full, last = (_Workspace(model, b) for b in (min(n, size), n % size))
     # An overflow surfaces as a non-finite loss, checked every step.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_epochs):
@@ -255,8 +281,8 @@ def train(model: Model, x, y, config: TrainConfig, rng=None,
             flat_labels = slots + y[order]
             for start in range(0, n, size):
                 stop = start + size
-                loss = model._loss_and_gradients(xs[start:stop],
-                                                 flat_labels[start:stop])
+                loss = (full if stop <= n else last).loss_and_gradients(
+                    xs[start:stop], flat_labels[start:stop])
                 if not math.isfinite(loss):
                     raise TrainingDivergedError(f"loss became {loss}")
                 optimizer.step(model.flat_params, model.flat_grads)

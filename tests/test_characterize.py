@@ -304,6 +304,31 @@ def test_power_mc_solves_in_bounded_slices(device, monkeypatch):
     assert sliced.mean_power == whole.mean_power
 
 
+def test_power_mc_splits_a_sample_over_the_cell_budget(device, monkeypatch):
+    # One 512x512 sample is four times the budget: it solves by row blocks.
+    t, mem = device
+    cells = _recorded_solves(monkeypatch)
+    power_table(512, 512, 1, [0.9], t, mem, seed=1)
+    assert sum(cells) == 512 * 512
+    assert max(cells) <= characterize._MVM_BLOCK_CELLS
+
+
+@pytest.mark.parametrize("block, largest", [(1, 5), (12, 10), (35, 35),
+                                            (80, 70)])
+def test_power_row_blocks_do_not_change_the_reports(device, monkeypatch,
+                                                    block, largest):
+    # 7x5 samples: 1-row and 2-row blocks, one sample, two samples per call.
+    t, mem = device
+    want = power_table(7, 5, 3, [0.8, 1.0], t, mem, seed=2)
+    monkeypatch.setattr(characterize, "_MVM_BLOCK_CELLS", block)
+    cells = _recorded_solves(monkeypatch)
+    got = power_table(7, 5, 3, [0.8, 1.0], t, mem, seed=2)
+    assert max(cells) == largest
+    for a, b in zip(got, want):
+        assert np.array_equal(a.sample_powers, b.sample_powers)
+        assert (a.v_g, a.mean_power) == (b.v_g, b.mean_power)
+
+
 @settings(max_examples=20, deadline=None)
 @given(rows=st.integers(1, 6), cols=st.integers(1, 6),
        n_samples=st.integers(1, 9), block=st.integers(1, 200),
@@ -320,7 +345,7 @@ def test_power_table_matches_per_voltage_runs(device, rows, cols, n_samples,
         cells = _recorded_solves(mp)
         reports = power_table(rows, cols, n_samples, v_gs, t, mem, seed=4,
                               mode=mode, c_gate=1e-15)
-    assert max(cells) <= max(block, rows * cols)
+    assert max(cells) <= max(block, cols)
     assert [r.v_g for r in reports] == v_gs
     for v_g, report in zip(v_gs, reports):
         alone = power_monte_carlo(rows, cols, n_samples, v_g, t, mem, seed=4,

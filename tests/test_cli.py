@@ -341,6 +341,28 @@ def test_schedule_file_needs_no_cutoff_table(tmp_path, monkeypatch,
     assert written == json.loads(Path(schedule_file).read_text())
 
 
+def test_one_parser_keeps_no_option_between_runs(tmp_path, trained_checkpoint,
+                                                 schedule_file, small_csvs):
+    # main reuses one parser per process: an option given to one run must
+    # not reach the next.
+    data = ["--data", small_csvs[0], "--test-data", small_csvs[1]]
+    assert main(["neat", "--checkpoint", trained_checkpoint, "--schedule",
+                 schedule_file, "--iters", "1", "--epochs-per-iter", "1",
+                 *data, "--out", str(tmp_path / "neat")]) == 0
+    # The NEAT checkpoint embeds its schedule, so --schedule is optional.
+    base = ["eval", "--checkpoint", str(tmp_path / "neat" /
+                                        "neat_checkpoint.json"),
+            "--mode", "crossbar"]
+    configs = []
+    for i, extra in enumerate((["--schedule", schedule_file], [])):
+        out = tmp_path / f"run{i}"
+        assert main(base + extra + data + ["--out", str(out)]) == 0
+        configs.append(json.loads(
+            (out / "run_manifest.json").read_text())["config"])
+    assert configs[0]["schedule"] == schedule_file
+    assert configs[1]["schedule"] is None
+
+
 @pytest.fixture
 def malformed_json(tmp_path):
     """One JSON file with a non-object top level, one that is not JSON."""

@@ -7,7 +7,7 @@ from onetr import (Adam, Dense, DomainError, Model, TrainConfig,
                    TrainingDivergedError, accuracy, clip_model,
                    load_checkpoint, save_checkpoint, train)
 from onetr.cli import build_parser
-from onetr.network import _softmax_cross_entropy_
+from onetr.network import _softmax_cross_entropy_, _Workspace
 from onetr.training import ScheduleEntry, VgSchedule
 
 
@@ -58,8 +58,10 @@ def test_relu_masks_gradient():
 def test_softmax_cross_entropy_matches_manual():
     logits = np.array([[2.0, 0.5, -1.0], [0.0, 0.0, 0.0]])
     labels = np.array([0, 2])
-    grad = np.array(logits, order="C")  # overwritten with the gradient
-    loss = _softmax_cross_entropy_(grad, np.arange(2) * 3 + labels)
+    ws = _Workspace(Model.new([4, 3]), 2)
+    grad = ws.outs[-1]  # overwritten with the gradient
+    grad[...] = logits
+    loss = _softmax_cross_entropy_(ws, np.arange(2) * 3 + labels)
     shifted = logits - logits.max(axis=1, keepdims=True)
     p = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
     manual = -np.mean(np.log(p[np.arange(2), labels]))
@@ -204,6 +206,26 @@ def _reference_softmax(logits, labels):
     return loss, grad / n
 
 
+def _reference_gradients(layers, x, y):
+    """The copying forward and backward: the loss, every [dw, db] and every
+    layer's output."""
+    acts = [x]
+    for i, (w, b) in enumerate(layers):
+        out = acts[-1] @ w + b
+        if i < len(layers) - 1:
+            out = out * (out > 0.0)
+        acts.append(out)
+    loss, grad = _reference_softmax(acts[-1], y)
+    grads = []
+    for i in reversed(range(len(layers))):
+        w = layers[i][0]
+        grads[:0] = [acts[i].T @ grad, grad.sum(axis=0)]
+        grad = grad @ w.T
+        if i > 0:
+            grad = grad * (acts[i] > 0.0)
+    return loss, grads, acts[1:]
+
+
 def _reference_train(layers, x, y, config, rng, epochs):
     """Per-batch gather, per-parameter Adam over plain [w, b] arrays."""
     m = [np.zeros_like(p) for layer in layers for p in layer]
@@ -213,20 +235,7 @@ def _reference_train(layers, x, y, config, rng, epochs):
         order = rng.permutation(x.shape[0])
         for start in range(0, x.shape[0], config.batch_size):
             idx = order[start:start + config.batch_size]
-            acts = [x[idx]]
-            for i, (w, b) in enumerate(layers):
-                out = acts[-1] @ w + b
-                if i < len(layers) - 1:
-                    out = out * (out > 0.0)
-                acts.append(out)
-            _, grad = _reference_softmax(acts[-1], y[idx])
-            grads = []
-            for i in reversed(range(len(layers))):
-                w = layers[i][0]
-                grads[:0] = [acts[i].T @ grad, grad.sum(axis=0)]
-                grad = grad @ w.T
-                if i > 0:
-                    grad = grad * (acts[i] > 0.0)
+            _, grads, _ = _reference_gradients(layers, x[idx], y[idx])
             t += 1
             params = [p for layer in layers for p in layer]
             for p, g, mi, vi in zip(params, grads, m, v):
@@ -259,6 +268,62 @@ def test_training_matches_per_parameter_reference(blobs, dims, batch_size):
     for layer, (w, b) in zip(model.dense_layers(), layers):
         assert np.array_equal(layer.w, w)
         assert np.array_equal(layer.b, b)
+
+
+@pytest.mark.parametrize("dims", [[16, 8, 5, 3], [16, 1, 3]])
+def test_workspaces_follow_the_batch_size(blobs, dims):
+    # Rounds at three batch sizes on one model and one generator: batch 7
+    # runs the 7-row and 4-row workspaces, 199 a 1-row last batch and 256
+    # a 200-row one. A 1-unit layer and 1-row batch give vector shapes.
+    x, y = blobs.x_train[:200], blobs.y_train[:200]
+    model = Model.new(dims, seed=6)
+    layers = [(l.w.copy(), l.b.copy()) for l in model.dense_layers()]
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    for batch_size in (7, 199, 256):
+        cfg = TrainConfig(learning_rate=1e-2, batch_size=batch_size, seed=6)
+        train(model, x, y, cfg, rng=rng, epochs=2)
+        _reference_train(layers, x, y, cfg, ref_rng, epochs=2)
+    for layer, (w, b) in zip(model.dense_layers(), layers):
+        assert np.array_equal(layer.w, w)
+        assert np.array_equal(layer.b, b)
+
+
+def test_forward_outputs_survive_training(blobs):
+    # Inference allocates: the logits, and each layer's kept input, are the
+    # caller's, whatever a later training step writes.
+    model = Model.new([16, 8, 3], seed=1)
+    x = blobs.x_train[:32]
+    logits = model.forward(x)
+    kept = [(out, out.copy()) for out in
+            (logits, *(l.x for l in model.dense_layers()))]
+    train(model, blobs.x_train[:64], blobs.y_train[:64],
+          TrainConfig(learning_rate=1e-2, epochs=1))
+    for out, copy in kept:
+        assert np.array_equal(out, copy)
+    assert not np.array_equal(model.forward(x), logits)
+
+
+def test_loss_and_gradients_match_the_copying_step(blobs):
+    # Bit for bit against the textbook expressions, sign of zero included:
+    # the ReLU writes -0.0 for a negative pre-activation.
+    model = Model.new([16, 8, 5, 3], seed=3)
+    layers = [(l.w, l.b) for l in model.dense_layers()]
+    x, y = blobs.x_train[:9].copy(), blobs.y_train[:9]
+    want_loss, want, _ = _reference_gradients(layers, x, y)
+    assert model.loss_and_gradients(x, y) == want_loss
+    assert np.array_equal(model.flat_grads,
+                          np.concatenate([g.ravel() for g in want]))
+    for nan_row in (False, True):
+        x[4, 2] = np.nan if nan_row else x[4, 2]
+        ws = _Workspace(model, 9)
+        loss = ws.loss_and_gradients(x, np.arange(9) * 3 + y)
+        want_loss, want, acts = _reference_gradients(layers, x, y)
+        assert np.array_equal(loss, want_loss, equal_nan=True)
+        # The hidden outputs; the last output became the logits' gradient.
+        for got, ref in [*zip(_grads(model), want), *zip(ws.outs[:-1], acts)]:
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert np.signbit(ws.outs[0]).any() and np.isnan(loss) == nan_row
 
 
 def _params(model):
