@@ -24,9 +24,8 @@ from .device import (ANALYTICAL, IDEAL_SWITCH, DeviceMode, MemristorParams,
                      transistor_current)
 from .errors import (CutoffLookupError, DegenerateLayerError, DomainError,
                      ToolkitError, TrainingDivergedError)
-from .mapping import (DifferentialPair, LayerScale, WcutSpec, clip_weights,
-                      layer_scale, scale_from_range, wcut_from_vg,
-                      weight_to_conductance)
+from .mapping import (LayerScale, WcutSpec, clip_weights, layer_scale,
+                      scale_from_range, wcut_from_vg, weight_to_conductance)
 from .network import Adam, Dense, Model, TrainConfig, accuracy, train
 from .training import (Checkpoint, ScheduleEntry, VgSchedule, clip_model,
                        crossbar_forward, evaluate, homogeneous_schedule,

@@ -267,9 +267,9 @@ def power_table(rows: int, cols: int, n_samples: int, v_g_values,
             rng = np.random.default_rng([seed, i])
             weights[k] = rng.standard_normal((rows, cols))
             v_read[k] = rng.uniform(0.0, v_supply, rows)
-        pair = mapping.weight_to_conductance(
+        g_plus, g_minus = mapping.weight_to_conductance(
             mapping.clip_weights(weights, _MC_WEIGHT_RANGE), scale)
-        g_m = np.maximum(pair.g_plus, pair.g_minus)  # the side carrying |w|
+        g_m = np.maximum(g_plus, g_minus)  # the side carrying |w|
         active_rows = (v_read > 0.0).sum(axis=1)
         current = np.empty(weights.shape)
         for v_g, out in zip(v_gs, per_sample):  # no solve outlives its use

@@ -193,10 +193,12 @@ def _output_dir(out):
     path = Path(out)
     try:
         path.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path / _LOCK_NAME, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError as exc:
-        raise CliError(3, f"output directory {path} is locked by another run "
-                          f"(stale? remove {_LOCK_NAME})") from exc
+        try:
+            fd = os.open(path / _LOCK_NAME,
+                         os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError as exc:
+            raise CliError(3, f"output directory {path} is locked by another "
+                              f"run (stale? remove {_LOCK_NAME})") from exc
     except OSError as exc:
         raise CliError(3, f"cannot prepare output directory: {exc}") from exc
     try:

@@ -30,7 +30,8 @@ import numpy as np
 
 from .device import ANALYTICAL, DeviceMode, TransistorParams, solve_synapse_grid
 from .errors import DomainError
-from .mapping import LayerScale, clip_weights, weight_to_conductance
+from .mapping import (RANGE_RTOL, LayerScale, clip_weights,
+                      weight_to_conductance)
 
 DEFAULT_TILE_ROWS = 64
 DEFAULT_TILE_COLS = 64
@@ -103,11 +104,11 @@ def program(weights, entry, scale: LayerScale,
     if not np.isfinite(a_max) or a_max <= 0.0:
         raise DomainError("a_max must be positive")
     w_cut = float(entry.w_cut)
-    if w_cut < 0.0 or w_cut > scale.w_r * (1.0 + 1e-9):
+    if w_cut < 0.0 or w_cut > scale.w_r * (1.0 + RANGE_RTOL):
         raise DomainError("w_cut must lie in [0, w_r] for the given scale")
     clipped_count = int(np.count_nonzero(np.abs(w) > w_cut))
-    pair = weight_to_conductance(clip_weights(w, w_cut), scale)
-    return CrossbarTileSet(w.shape, pair.g_plus, pair.g_minus,
+    g_plus, g_minus = weight_to_conductance(clip_weights(w, w_cut), scale)
+    return CrossbarTileSet(w.shape, g_plus, g_minus,
                            float(entry.v_g), w_cut, scale, float(a_max),
                            tile_rows, tile_cols,
                            clipped_count, clipped_count / w.size)

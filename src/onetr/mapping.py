@@ -18,6 +18,9 @@ import numpy as np
 from .device import MemristorParams
 from .errors import DegenerateLayerError, DomainError
 
+# Relative slack of a weight or clip level over its layer's range ``w_r``.
+RANGE_RTOL = 1e-9
+
 
 @dataclass(frozen=True)
 class LayerScale:
@@ -28,18 +31,6 @@ class LayerScale:
     k_readout: float  # weight units per siemens, 1 / s
     g_on: float
     g_off: float
-
-
-@dataclass(frozen=True)
-class DifferentialPair:
-    """Conductances of the positive and negative column devices.
-
-    Holds floats for a single weight or aligned arrays for a whole matrix.
-    The inactive side always rests at ``g_off``.
-    """
-
-    g_plus: object
-    g_minus: object
 
 
 @dataclass(frozen=True)
@@ -97,19 +88,18 @@ def wcut_from_vg(v_g: float, scale: LayerScale, table) -> WcutSpec:
     return WcutSpec(float(v_g), float(w_cut), float(cutoff))
 
 
-def weight_to_conductance(weights, scale: LayerScale) -> DifferentialPair:
-    """Encode weights onto differential pairs, one active side per sign."""
+def weight_to_conductance(weights, scale: LayerScale):
+    """Encode weights onto differential pairs, one active side per sign:
+    ``(g_plus, g_minus)``, the inactive side resting at ``g_off``."""
     scalar = np.isscalar(weights)
     w = np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(w)):
         raise DomainError("weights must be finite")
-    if np.any(np.abs(w) > scale.w_r * (1.0 + 1e-12)):
+    if np.any(np.abs(w) > scale.w_r * (1.0 + RANGE_RTOL)):
         raise DomainError("weight magnitude exceeds the layer range")
     magnitude = np.minimum(np.abs(w), scale.w_r)
     # Cap at g_on so float rounding cannot push the active side past the range.
     active = np.minimum(scale.g_off + magnitude * scale.s, scale.g_on)
     g_plus = np.where(w > 0.0, active, scale.g_off)
     g_minus = np.where(w < 0.0, active, scale.g_off)
-    if scalar:
-        return DifferentialPair(float(g_plus), float(g_minus))
-    return DifferentialPair(g_plus, g_minus)
+    return (float(g_plus), float(g_minus)) if scalar else (g_plus, g_minus)

@@ -50,19 +50,11 @@ class Dense:
             raise DomainError("inconsistent dense layer shapes")
         if not (np.isfinite(self.w).all() and np.isfinite(self.b).all()):
             raise DomainError("dense layer parameters must be finite")
-        self.x = None  # input of the latest forward
 
     @classmethod
     def init(cls, in_dim: int, out_dim: int, rng) -> "Dense":
         w = rng.normal(0.0, np.sqrt(2.0 / in_dim), (in_dim, out_dim))
         return cls(w, np.zeros(out_dim))
-
-    def forward(self, x):
-        """``x @ w + b`` as a new array the caller may change; keeps ``x``."""
-        self.x = x
-        out = x @ self.w
-        out += self.b
-        return out
 
 
 class _Workspace:
@@ -162,13 +154,20 @@ class Model:
     def dims(self):
         return [self.layers[0].w.shape[0]] + [l.w.shape[1] for l in self.layers]
 
+    def activations(self, x):
+        """Each layer's input, then the logits: new arrays, bar a float ``x``."""
+        outs = [np.asarray(x, dtype=float)]
+        for i, layer in enumerate(self.layers, 1):
+            out = outs[-1] @ layer.w
+            out += layer.b
+            if i < len(self.layers):
+                out *= out > 0.0  # ReLU
+            outs.append(out)
+        return outs
+
     def forward(self, x):
-        """Logits as new arrays; each layer keeps its input (``layer.x``)."""
-        out = np.asarray(x, dtype=float)
-        for layer in self.layers[:-1]:
-            out = layer.forward(out)
-            out *= out > 0.0  # ReLU
-        return self.layers[-1].forward(out)
+        """Logits as a new array."""
+        return self.activations(x)[-1]
 
     def predict(self, x):
         return np.argmax(self.forward(x), axis=1)

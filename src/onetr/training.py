@@ -25,7 +25,7 @@ from .crossbar import (DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH,
                        mvm_nonideal_batch, program)
 from .device import ANALYTICAL, DeviceMode, MemristorParams, TransistorParams
 from .errors import DomainError, _write_json, read_json_object, real
-from .mapping import layer_scale, scale_from_range, wcut_from_vg
+from .mapping import RANGE_RTOL, layer_scale, scale_from_range, wcut_from_vg
 from .network import Model, TrainConfig, accuracy, train
 
 CHECKPOINT_FILE_VERSION = 1
@@ -79,7 +79,7 @@ def _entry_from_dict(position: int, raw: dict) -> ScheduleEntry:
                        for k in ("v_g", "w_cut", "w_r"))
     if e.g_m_cutoff is not None:
         real(e.g_m_cutoff, "g_m_cutoff")
-    if v_g < 0 or w_r <= 0 or not 0 <= w_cut <= w_r * (1 + 1e-9):
+    if v_g < 0 or w_r <= 0 or not 0 <= w_cut <= w_r * (1 + RANGE_RTOL):
         raise ValueError("needs v_g >= 0, w_r > 0 and 0 <= w_cut <= w_r")
     return e
 
@@ -89,6 +89,8 @@ def schedule_from_dict(raw: dict) -> VgSchedule:
         entries = tuple(_entry_from_dict(i, e)
                         for i, e in enumerate(raw["entries"]))
         grid = tuple(real(v, "grid") for v in raw["grid"])
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise ValueError("grid must be non-empty and strictly increasing")
         return VgSchedule(raw["mode"], grid, entries)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed schedule payload: {exc}") from exc
@@ -97,13 +99,12 @@ def schedule_from_dict(raw: dict) -> VgSchedule:
 def _sorted_grid(table, grid):
     if grid is None:
         grid = table.gate_voltages()
-    grid = [float(v) for v in grid]
-    if not grid:
+    out = sorted(float(v) for v in grid)
+    if not out:
         raise DomainError("empty gate-voltage grid")
-    out = sorted(grid)
     if any(b - a <= 0 for a, b in zip(out, out[1:])):
         raise DomainError("gate-voltage grid has duplicate points")
-    for v in out:
+    for v in out if table is not None else ():  # None: no table to check
         table.lookup(v)  # raises CutoffLookupError when absent
     return out
 
@@ -113,6 +114,17 @@ def _grid_index(grid, v_g: float) -> int:
         if abs(v - v_g) < 1e-9:
             return i
     raise DomainError(f"v_g={v_g} is not on the schedule grid")
+
+
+def layer_scales(model: Model, mem: MemristorParams):
+    """Every dense layer's LayerScale, whose ``w_r`` anchors its mapping."""
+    return [layer_scale(layer.w, mem) for layer in model.dense_layers()]
+
+
+def _entry(layer: int, spec, w_r: float, flag: str = FLAG_NONE):
+    """The schedule entry for a clip level ``spec`` (a WcutSpec)."""
+    return ScheduleEntry(layer, spec.v_g, spec.w_cut, w_r, spec.g_m_cutoff,
+                         flag)
 
 
 def search_heterogeneous_vg(model: Model, table, mem: MemristorParams,
@@ -127,16 +139,13 @@ def search_heterogeneous_vg(model: Model, table, mem: MemristorParams,
     ``wcut_provider(v_g, scale)`` overrides the table-driven clip-level
     computation; with it, ``table`` may be None but ``grid`` is required.
     """
-    if wcut_provider is None:
-        grid = _sorted_grid(table, grid)
-        wcut_provider = lambda v, scale: wcut_from_vg(v, scale, table)
-    elif grid is None:
+    if wcut_provider is not None and grid is None:
         raise DomainError("an explicit grid is required with a wcut_provider")
-    else:
-        grid = sorted(float(v) for v in grid)
+    grid = _sorted_grid(table if wcut_provider is None else None, grid)
+    if wcut_provider is None:
+        wcut_provider = lambda v, scale: wcut_from_vg(v, scale, table)
     entries = []
-    for i, layer in enumerate(model.dense_layers()):
-        scale = layer_scale(layer.w, mem)
+    for i, scale in enumerate(layer_scales(model, mem)):
         specs = [wcut_provider(v, scale) for v in grid]
         first = next((k for k, s in enumerate(specs)
                       if s.w_cut >= scale.w_r), None)
@@ -146,9 +155,7 @@ def search_heterogeneous_vg(model: Model, table, mem: MemristorParams,
             pick, flag = 0, FLAG_FIRST_COVERS
         else:
             pick, flag = first - 1, FLAG_NONE
-        spec = specs[pick]
-        entries.append(ScheduleEntry(i, spec.v_g, spec.w_cut, scale.w_r,
-                                     spec.g_m_cutoff, flag))
+        entries.append(_entry(i, specs[pick], scale.w_r, flag))
     return VgSchedule("heterogeneous", tuple(grid), tuple(entries))
 
 
@@ -157,12 +164,8 @@ def homogeneous_schedule(model: Model, v_g: float, table,
     """Same gate voltage for every layer, clip levels still per layer."""
     grid = _sorted_grid(table, None)
     _grid_index(grid, v_g)
-    entries = []
-    for i, layer in enumerate(model.dense_layers()):
-        scale = layer_scale(layer.w, mem)
-        spec = wcut_from_vg(v_g, scale, table)
-        entries.append(ScheduleEntry(i, spec.v_g, spec.w_cut, scale.w_r,
-                                     spec.g_m_cutoff))
+    entries = [_entry(i, wcut_from_vg(v_g, scale, table), scale.w_r)
+               for i, scale in enumerate(layer_scales(model, mem))]
     return VgSchedule("homogeneous", tuple(grid), tuple(entries))
 
 
@@ -178,8 +181,7 @@ def step_down_schedule(schedule: VgSchedule, table,
         idx = max(_grid_index(schedule.grid, e.v_g) - 1, 0)
         scale = scale_from_range(e.w_r, mem)
         spec = wcut_from_vg(schedule.grid[idx], scale, table)
-        entries.append(ScheduleEntry(e.layer, spec.v_g, spec.w_cut, e.w_r,
-                                     spec.g_m_cutoff, e.flag))
+        entries.append(_entry(e.layer, spec, e.w_r, e.flag))
     return VgSchedule(schedule.mode, schedule.grid, tuple(entries))
 
 
@@ -249,10 +251,10 @@ def program_model(model: Model, schedule: VgSchedule, mem: MemristorParams,
     calib_x = np.asarray(calib_x, dtype=float)
     if calib_x.ndim != 2 or calib_x.shape[0] < 1:
         raise DomainError("calibration batch must be (samples, features)")
-    model.forward(calib_x)  # each layer keeps its input as ``layer.x``
     tilesets = []
-    for layer, e in zip(dense, schedule.entries):
-        a_max = float(np.percentile(layer.x, DEFAULT_PERCENTILE))
+    for layer, e, inputs in zip(dense, schedule.entries,
+                                model.activations(calib_x)):
+        a_max = float(np.percentile(inputs, DEFAULT_PERCENTILE))
         if a_max <= 0 or not np.isfinite(a_max):
             raise DomainError(
                 f"layer {e.layer}: calibration activations give "

@@ -186,11 +186,20 @@ def test_neat_energy_report_cycle(tmp_path, trained_checkpoint, small_csvs):
     assert "energy_gain_percent" in report
 
 
-def test_locked_output_dir_is_an_io_error(tmp_path):
+def test_locked_output_dir_is_an_io_error(tmp_path, capsys):
     out = tmp_path / "run"
     out.mkdir()
     (out / ".onetr.lock").touch()
     assert main(["cutoff", "--out", str(out)]) == 3
+    assert "is locked by another run" in capsys.readouterr().err
+
+
+def test_output_path_on_a_file_is_an_io_error(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert main(["cutoff", "--out", str(afile)]) == 3
+    err = capsys.readouterr().err
+    assert "cannot prepare output directory" in err and "locked" not in err
 
 
 def test_usage_errors_exit_2(tmp_path, monkeypatch, trained_checkpoint,
@@ -424,6 +433,29 @@ def test_malformed_schedule_file_exits_4(tmp_path, capsys, malformed_json,
                                 "--schedule", path, "--out",
                                 str(tmp_path / f"{argv[0]}{i}")] + data) == 4
             assert path in capsys.readouterr().err, (argv, path)
+
+
+def test_schedule_at_the_range_tolerance_programs(tmp_path, capsys,
+                                                 trained_checkpoint,
+                                                 schedule_file, small_csvs):
+    # Each entry clips its layer at a w_cut a hair over a halved w_r: what
+    # the schedule loader accepts, programming accepts too.
+    train_csv, test_csv = small_csvs
+
+    def halve(raw, slack):
+        for e in raw["entries"]:
+            e["w_r"] /= 2.0
+            e["w_cut"] = e["w_r"] * (1.0 + slack)
+
+    inside, outside = _edited_copies(tmp_path, schedule_file, [
+        lambda raw: halve(raw, 1e-10), lambda raw: halve(raw, 1e-8)])
+    for path, code in ((inside, 0), (outside, 4)):
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", trained_checkpoint, "--mode",
+                     "crossbar", "--schedule", path, "--data", train_csv,
+                     "--test-data", test_csv,
+                     "--out", str(tmp_path / f"eval{code}")]) == code
+    assert "malformed schedule payload" in capsys.readouterr().err
 
 
 def test_malformed_device_file_exits_4(tmp_path, malformed_json):

@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from onetr import (CutoffLookupError, DegenerateLayerError, DomainError,
-                   clip_weights, cutoff_table, layer_scale, scale_from_range,
+                   clip_weights, cutoff_table, layer_scale, program,
+                   scale_from_range, schedule_from_dict, WcutSpec,
                    wcut_from_vg, weight_to_conductance)
+from onetr.mapping import RANGE_RTOL
 
 
 def test_scale_pins_weight_range_to_g_on(device):
@@ -15,9 +17,9 @@ def test_scale_pins_weight_range_to_g_on(device):
     scale = scale_from_range(2.0, mem)
     assert scale.s == pytest.approx((mem.g_on - mem.g_off) / 2.0)
     assert scale.k_readout * scale.s == pytest.approx(1.0)
-    pair = weight_to_conductance(2.0, scale)
-    assert pair.g_plus == mem.g_on
-    assert pair.g_minus == mem.g_off
+    g_plus, g_minus = weight_to_conductance(2.0, scale)
+    assert g_plus == mem.g_on
+    assert g_minus == mem.g_off
 
 
 def test_layer_scale_uses_largest_magnitude(device):
@@ -64,11 +66,11 @@ def test_clip_rejects_bad_arguments():
 def test_differential_encoding_routes_by_sign(device):
     _, mem = device
     scale = scale_from_range(1.0, mem)
-    pair = weight_to_conductance(np.array([0.5, -0.5, 0.0]), scale)
-    assert pair.g_plus[0] > mem.g_off and pair.g_minus[0] == mem.g_off
-    assert pair.g_minus[1] > mem.g_off and pair.g_plus[1] == mem.g_off
-    assert pair.g_plus[2] == mem.g_off and pair.g_minus[2] == mem.g_off
-    assert np.all(pair.g_plus <= mem.g_on) and np.all(pair.g_minus <= mem.g_on)
+    g_plus, g_minus = weight_to_conductance(np.array([0.5, -0.5, 0.0]), scale)
+    assert g_plus[0] > mem.g_off and g_minus[0] == mem.g_off
+    assert g_minus[1] > mem.g_off and g_plus[1] == mem.g_off
+    assert g_plus[2] == mem.g_off and g_minus[2] == mem.g_off
+    assert np.all(g_plus <= mem.g_on) and np.all(g_minus <= mem.g_on)
 
 
 @given(w=hnp.arrays(np.float64, st.integers(1, 40),
@@ -76,8 +78,8 @@ def test_differential_encoding_routes_by_sign(device):
 def test_encoding_round_trips_to_weights(w, device):
     _, mem = device
     scale = scale_from_range(1.0, mem)
-    pair = weight_to_conductance(w, scale)
-    back = (pair.g_plus - pair.g_minus) / scale.s
+    g_plus, g_minus = weight_to_conductance(w, scale)
+    back = (g_plus - g_minus) / scale.s
     assert np.allclose(back, w, atol=1e-12)
 
 
@@ -86,6 +88,33 @@ def test_encoding_rejects_out_of_range_weights(device):
     scale = scale_from_range(1.0, mem)
     with pytest.raises(DomainError):
         weight_to_conductance(1.5, scale)
+
+
+def test_one_range_tolerance_from_schedule_to_conductances(device):
+    # A clip level the schedule loader accepts also programs; just past the
+    # shared tolerance, all three checks reject it.
+    _, mem = device
+    scale = scale_from_range(1.0, mem)
+    w = np.array([[2.0, -2.0], [0.5, 0.0]])
+
+    def loaded(w_cut):
+        return schedule_from_dict({"mode": "homogeneous", "grid": [0.8],
+                                   "entries": [{"layer": 0, "v_g": 0.8,
+                                                "w_cut": w_cut, "w_r": 1.0,
+                                                "g_m_cutoff": None,
+                                                "flag": ""}]}).entries[0]
+
+    inside, outside = 1.0 + RANGE_RTOL / 10, 1.0 + RANGE_RTOL * 10
+    ts = program(w, loaded(inside), scale)
+    assert ts.g_plus[0, 0] == pytest.approx(mem.g_on)
+    assert ts.g_minus[0, 1] == pytest.approx(mem.g_on)
+    assert weight_to_conductance(inside, scale)[0] == pytest.approx(mem.g_on)
+    with pytest.raises(DomainError):
+        loaded(outside)
+    with pytest.raises(DomainError):
+        program(w, WcutSpec(0.8, outside, None), scale)
+    with pytest.raises(DomainError):
+        weight_to_conductance(outside, scale)
 
 
 def test_wcut_tracks_cutoff_position(device, table):

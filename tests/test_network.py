@@ -38,7 +38,9 @@ def test_dense_forward_is_affine():
     rng = np.random.default_rng(0)
     layer = Dense.init(4, 3, rng)
     x = rng.normal(size=(5, 4))
-    assert np.allclose(layer.forward(x), x @ layer.w + layer.b)
+    inputs, logits = Model([layer]).activations(x)
+    assert inputs is x
+    assert np.allclose(logits, x @ layer.w + layer.b)
 
 
 def test_relu_masks_gradient():
@@ -48,7 +50,7 @@ def test_relu_masks_gradient():
     first, second = model.dense_layers()
     x = np.array([[-1.0, 0.0, 2.0]])
     assert np.array_equal(model.forward(x), [[0.0, 0.0, 2.0]])
-    assert np.array_equal(second.x, [[0.0, 0.0, 2.0]])
+    assert np.array_equal(model.activations(x)[1], [[0.0, 0.0, 2.0]])
     model.loss_and_gradients(x, np.array([1]))
     # The hidden gradient is the logits' gradient (second.db) masked.
     assert np.all(second.db != 0.0)
@@ -289,13 +291,13 @@ def test_workspaces_follow_the_batch_size(blobs, dims):
 
 
 def test_forward_outputs_survive_training(blobs):
-    # Inference allocates: the logits, and each layer's kept input, are the
+    # Inference allocates: the logits, and each layer's input, are the
     # caller's, whatever a later training step writes.
     model = Model.new([16, 8, 3], seed=1)
     x = blobs.x_train[:32]
-    logits = model.forward(x)
-    kept = [(out, out.copy()) for out in
-            (logits, *(l.x for l in model.dense_layers()))]
+    *inputs, logits = model.activations(x)
+    assert np.array_equal(model.forward(x), logits)
+    kept = [(out, out.copy()) for out in (logits, *inputs)]
     train(model, blobs.x_train[:64], blobs.y_train[:64],
           TrainConfig(learning_rate=1e-2, epochs=1))
     for out, copy in kept:

@@ -97,6 +97,15 @@ def test_schedule_serialization_round_trip(het_schedule):
         VgSchedule("sideways", (0.7,), ())
 
 
+def test_schedule_grid_must_increase(het_schedule):
+    # Step-down walks the grid by position, so an unsorted grid would raise
+    # voltages: grid [1.0, 0.9, 0.8] steps an entry at 0.9 "down" to 1.0.
+    raw = schedule_to_dict(het_schedule)
+    for grid in ([1.0, 0.9, 0.8], [0.9, 0.9], []):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            schedule_from_dict({**raw, "grid": grid})
+
+
 def test_clip_model_enforces_schedule(baseline_model, het_schedule):
     model = baseline_model.copy()
     clip_model(model, het_schedule)

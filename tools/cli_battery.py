@@ -46,6 +46,11 @@ RUNS = [
     (0, "power_sliced", ["power-mc", "--vg", "0.5,0.8,0.9,1.0,1.2", "--rows",
                          "64", "--cols", "64", "--samples", "40"]),
     (0, "sched_step_down", ["search-vg", "--checkpoint", BASE, "--step-down"]),
+    # the homogeneous builder, stepped down, and NEAT at its schedule
+    (0, "sched_homogeneous_step_down", ["search-vg", "--checkpoint", BASE,
+                                        "--vg", "0.8", "--step-down"]),
+    (0, "neat_homogeneous", ["neat", "--checkpoint", BASE, "--vg", "0.9",
+                             "--iters", "2"]),
     # 2,000 training rows in batches of 48: 41 full batches and one of 32
     (0, "base_batch48", ["train", "--batch", "48", "--epochs", "2"]),
     (0, "neat_batch48", ["neat", "--checkpoint",
