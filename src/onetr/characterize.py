@@ -70,7 +70,7 @@ class CutoffTable:
 
     def lookup(self, v_g: float):
         for vg_i, cutoff in self.entries:
-            if abs(vg_i - v_g) <= 1e-9:
+            if abs(vg_i - v_g) <= mapping.GRID_ATOL:
                 return cutoff
         raise CutoffLookupError(f"v_g = {v_g} is not in the cutoff table")
 

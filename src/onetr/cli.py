@@ -32,6 +32,7 @@ from .device import (ANALYTICAL, IDEAL_SWITCH, default_device,
                      leakage_stressed_device, load_device_file)
 from .errors import (DomainError, ToolkitError, _write_csv, _write_json,
                      read_json_object)
+from .mapping import GRID_ATOL
 from .network import Model, TrainConfig, accuracy, train
 from .training import (evaluate, homogeneous_schedule, iterative_train,
                        linear_fraction, load_checkpoint, network_energy,
@@ -61,7 +62,7 @@ class CliError(Exception):
 # argument helpers
 
 def parse_vg_values(text: str):
-    """``start:stop:step`` (endpoints inclusive within 1e-9) or a comma list."""
+    """``start:stop:step`` (ends inclusive within GRID_ATOL) or a comma list."""
     try:
         if ":" in text:
             parts = text.split(":")
@@ -70,11 +71,11 @@ def parse_vg_values(text: str):
             start, stop, step = (float(p) for p in parts)
             if step <= 0:
                 raise ValueError("step must be positive")
-            if stop < start - 1e-9:
+            if stop < start - GRID_ATOL:
                 raise ValueError("stop must be >= start")
             # Capped as built: a step below float spacing never ends.
             values = []
-            while start + len(values) * step <= stop + 1e-9:
+            while start + len(values) * step <= stop + GRID_ATOL:
                 if len(values) == MAX_VG_POINTS:
                     raise ValueError(f"more than {MAX_VG_POINTS} points")
                 values.append(round(start + len(values) * step, 9))

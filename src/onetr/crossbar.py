@@ -101,8 +101,8 @@ def program(weights, entry, scale: LayerScale,
         raise DomainError("weights must be finite")
     if tile_rows < 1 or tile_cols < 1:
         raise DomainError("tile dimensions must be at least 1")
-    if not np.isfinite(a_max) or a_max <= 0.0:
-        raise DomainError("a_max must be positive")
+    if not (0.0 < a_max < np.inf and 0.0 <= entry.v_g < np.inf):  # NaN too
+        raise DomainError("a_max must be positive and v_g >= 0, both finite")
     w_cut = float(entry.w_cut)
     if w_cut < 0.0 or w_cut > scale.w_r * (1.0 + RANGE_RTOL):
         raise DomainError("w_cut must lie in [0, w_r] for the given scale")
@@ -124,8 +124,8 @@ def _read_voltages(ts: CrossbarTileSet, activations, v_supply: float,
                           f"{ts.shape[0]} crossbar rows")
     if not np.all(np.isfinite(x)):
         raise DomainError("activations must be finite")
-    if v_supply <= 0:
-        raise DomainError("v_supply must be positive")
+    if not 0 < v_supply < np.inf:  # NaN too
+        raise DomainError("v_supply must be positive and finite")
     return np.clip(x / ts.a_max, 0.0, 1.0) * v_supply
 
 
@@ -194,17 +194,18 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     step = _slice_samples(rows, cols)
     g_off = ts.scale.g_off
     live = g_all != g_off  # the cells a row's g_off solve cannot stand for
+    n_live = np.count_nonzero(live, axis=1)
     col_current, energy = [], []
     for s in range(0, max(v.shape[0], 1), step):  # an empty batch: 1 slice
         vs = v[s:s + step]
-        if mode.variant == "ideal_switch":
-            current = solve_synapse_grid(g_all, vs[:, :, None], ts.v_g, t,
-                                         mode)[0]
+        if mode.variant == "ideal_switch":  # g_eff is g_m when on, else 0
+            current = (g_all * vs[:, :, None] if ts.v_g > t.vth
+                       else np.zeros((vs.shape[0], rows, 2 * cols)))
         else:
             read = vs > 0.0
             cells = read[:, :, None] & live
-            g_m, v_in = (np.broadcast_to(a, cells.shape)[cells]
-                         for a in (g_all, vs[:, :, None]))
+            g_m = np.broadcast_to(g_all, cells.shape)[cells]
+            v_in = np.repeat(vs[read], np.broadcast_to(n_live, vs.shape)[read])
             i = solve_synapse_grid(
                 np.append(g_m, np.full(np.count_nonzero(read), g_off)),
                 np.append(v_in, vs[read]), ts.v_g, t, mode)[0]

@@ -20,6 +20,7 @@ from .errors import DegenerateLayerError, DomainError
 
 # Relative slack of a weight or clip level over its layer's range ``w_r``.
 RANGE_RTOL = 1e-9
+GRID_ATOL = 1e-9  # V: a gate voltage this close to a grid point is on it
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ from .crossbar import (DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH,
                        mvm_nonideal_batch, program)
 from .device import ANALYTICAL, DeviceMode, MemristorParams, TransistorParams
 from .errors import DomainError, _write_json, read_json_object, real
-from .mapping import RANGE_RTOL, layer_scale, scale_from_range, wcut_from_vg
+from .mapping import (GRID_ATOL, RANGE_RTOL, layer_scale, scale_from_range,
+                      wcut_from_vg)
 from .network import Model, TrainConfig, accuracy, train
 
 CHECKPOINT_FILE_VERSION = 1
@@ -49,6 +50,8 @@ class ScheduleEntry:
 
 @dataclass(frozen=True)
 class VgSchedule:
+    """Per-layer gate voltages; constructing one is the one validity check."""
+
     mode: str  # "heterogeneous" | "homogeneous"
     grid: tuple
     entries: tuple
@@ -56,6 +59,22 @@ class VgSchedule:
     def __post_init__(self):
         if self.mode not in ("heterogeneous", "homogeneous"):
             raise DomainError(f"unknown schedule mode {self.mode!r}")
+        grid = [real(v, "grid") for v in self.grid]
+        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+            raise DomainError("grid must be non-empty and strictly increasing")
+        for i, e in enumerate(self.entries):
+            if type(e.layer) is not int or e.layer != i:  # not a bool
+                raise DomainError(f"entry {i} has layer {e.layer!r}")
+            if e.flag not in (FLAG_NONE, FLAG_FIRST_COVERS, FLAG_NO_COVERAGE):
+                raise DomainError(f"entry {i} has unknown flag {e.flag!r}")
+            if e.g_m_cutoff is not None:
+                real(e.g_m_cutoff, "g_m_cutoff")
+            v_g, w_cut, w_r = (real(getattr(e, k), k)
+                               for k in ("v_g", "w_cut", "w_r"))
+            if v_g < 0 or w_r <= 0 or not 0 <= w_cut <= w_r * (1 + RANGE_RTOL):
+                raise DomainError(f"entry {i} needs v_g >= 0, w_r > 0 and "
+                                  "0 <= w_cut <= w_r")
+            _grid_index(grid, v_g)
 
     def gate_voltages(self):
         return [e.v_g for e in self.entries]
@@ -69,41 +88,19 @@ def schedule_to_dict(schedule: VgSchedule) -> dict:
     }
 
 
-def _entry_from_dict(position: int, raw: dict) -> ScheduleEntry:
-    e = ScheduleEntry(**raw)
-    if type(e.layer) is not int or e.layer != position:  # not a bool
-        raise ValueError(f"entry {position} has layer {e.layer!r}")
-    if e.flag not in (FLAG_NONE, FLAG_FIRST_COVERS, FLAG_NO_COVERAGE):
-        raise ValueError(f"unknown flag {e.flag!r}")
-    v_g, w_cut, w_r = (real(getattr(e, k), k)
-                       for k in ("v_g", "w_cut", "w_r"))
-    if e.g_m_cutoff is not None:
-        real(e.g_m_cutoff, "g_m_cutoff")
-    if v_g < 0 or w_r <= 0 or not 0 <= w_cut <= w_r * (1 + RANGE_RTOL):
-        raise ValueError("needs v_g >= 0, w_r > 0 and 0 <= w_cut <= w_r")
-    return e
-
-
 def schedule_from_dict(raw: dict) -> VgSchedule:
     try:
-        entries = tuple(_entry_from_dict(i, e)
-                        for i, e in enumerate(raw["entries"]))
-        grid = tuple(real(v, "grid") for v in raw["grid"])
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError("grid must be non-empty and strictly increasing")
-        return VgSchedule(raw["mode"], grid, entries)
-    except (KeyError, TypeError, ValueError) as exc:
+        return VgSchedule(raw["mode"], tuple(raw["grid"]),
+                          tuple(ScheduleEntry(**e) for e in raw["entries"]))
+    except (KeyError, TypeError, ValueError) as exc:  # DomainError included
         raise DomainError(f"malformed schedule payload: {exc}") from exc
 
 
 def _sorted_grid(table, grid):
-    if grid is None:
-        grid = table.gate_voltages()
-    out = sorted(float(v) for v in grid)
-    if not out:
+    out = sorted(float(v) for v in
+                 (table.gate_voltages() if grid is None else grid))
+    if not out:  # the search indexes the grid before it builds a schedule
         raise DomainError("empty gate-voltage grid")
-    if any(b - a <= 0 for a, b in zip(out, out[1:])):
-        raise DomainError("gate-voltage grid has duplicate points")
     for v in out if table is not None else ():  # None: no table to check
         table.lookup(v)  # raises CutoffLookupError when absent
     return out
@@ -111,7 +108,7 @@ def _sorted_grid(table, grid):
 
 def _grid_index(grid, v_g: float) -> int:
     for i, v in enumerate(grid):
-        if abs(v - v_g) < 1e-9:
+        if abs(v - v_g) <= GRID_ATOL:
             return i
     raise DomainError(f"v_g={v_g} is not on the schedule grid")
 
@@ -122,9 +119,10 @@ def layer_scales(model: Model, mem: MemristorParams):
 
 
 def _entry(layer: int, spec, w_r: float, flag: str = FLAG_NONE):
-    """The schedule entry for a clip level ``spec`` (a WcutSpec)."""
-    return ScheduleEntry(layer, spec.v_g, spec.w_cut, w_r, spec.g_m_cutoff,
-                         flag)
+    """The schedule entry for a clip level ``spec`` (a WcutSpec), clamped to
+    the range as ``wcut_from_vg`` clamps a cutoff table's."""
+    return ScheduleEntry(layer, spec.v_g, min(spec.w_cut, w_r), w_r,
+                         spec.g_m_cutoff, flag)
 
 
 def search_heterogeneous_vg(model: Model, table, mem: MemristorParams,
@@ -163,7 +161,6 @@ def homogeneous_schedule(model: Model, v_g: float, table,
                          mem: MemristorParams) -> VgSchedule:
     """Same gate voltage for every layer, clip levels still per layer."""
     grid = _sorted_grid(table, None)
-    _grid_index(grid, v_g)
     entries = [_entry(i, wcut_from_vg(v_g, scale, table), scale.w_r)
                for i, scale in enumerate(layer_scales(model, mem))]
     return VgSchedule("homogeneous", tuple(grid), tuple(entries))

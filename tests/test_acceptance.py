@@ -17,6 +17,7 @@ from onetr import (IDEAL_SWITCH, Model, TrainConfig, WcutSpec, accuracy,
                    find_gm_cutoff, homogeneous_schedule, iterative_train,
                    linear_fraction, mvm_nonideal, network_energy,
                    power_monte_carlo, program, scale_from_range,
+                   schedule_from_dict, schedule_to_dict,
                    search_heterogeneous_vg, solve_synapse_grid, train,
                    transistor_current)
 from onetr.calibrate import VG_GRID
@@ -101,23 +102,36 @@ def _oracle_pick(specs, w_r, grid):
     return first - 1, FLAG_NONE
 
 
+def _provider_trials(mem):
+    """ACCEPTANCE 05's 50 seeded trials: ``(model, grid, provider,
+    schedule)``, the schedule searched with a synthetic clip-level provider
+    whose coverage varies per voltage and per layer range."""
+    rng = np.random.default_rng(11)
+    for trial in range(50):
+        n_layers = int(rng.integers(1, 4))
+        dims = [int(rng.integers(2, 9)) for _ in range(n_layers + 1)]
+        model = Model.new(dims, seed=trial)
+        grid = sorted(set(np.round(rng.uniform(0.5, 1.2, int(rng.integers(2, 8))), 3)))
+        multipliers = {v: float(rng.uniform(0.2, 1.8)) for v in grid}
+
+        def provider(v_g, scale, m=multipliers):
+            frac = m[v_g] + 0.25 * np.sin(37.0 * scale.w_r)
+            return WcutSpec(v_g, max(frac, 0.0) * scale.w_r, None)
+
+        yield model, grid, provider, search_heterogeneous_vg(
+            model, None, mem, grid=grid, wcut_provider=provider)
+
+
+def test_provider_schedules_survive_save_and_load(device):
+    _, mem = device
+    for _, _, _, schedule in _provider_trials(mem):
+        assert schedule_from_dict(schedule_to_dict(schedule)) == schedule
+
+
 def test_05_vg_search_matches_bruteforce(device, table):
     with acceptance("05 vg-search oracle"):
         _, mem = device
-        rng = np.random.default_rng(11)
-        for trial in range(50):
-            n_layers = int(rng.integers(1, 4))
-            dims = [int(rng.integers(2, 9)) for _ in range(n_layers + 1)]
-            model = Model.new(dims, seed=trial)
-            grid = sorted(set(np.round(rng.uniform(0.5, 1.2, int(rng.integers(2, 8))), 3)))
-            multipliers = {v: float(rng.uniform(0.2, 1.8)) for v in grid}
-
-            def provider(v_g, scale, m=multipliers):
-                frac = m[v_g] + 0.25 * np.sin(37.0 * scale.w_r)
-                return WcutSpec(v_g, max(frac, 0.0) * scale.w_r, None)
-
-            schedule = search_heterogeneous_vg(model, None, mem, grid=grid,
-                                               wcut_provider=provider)
+        for model, grid, provider, schedule in _provider_trials(mem):
             for i, layer in enumerate(model.dense_layers()):
                 scale = layer_scale(layer.w, mem)
                 specs = [provider(v, scale) for v in grid]
@@ -125,7 +139,8 @@ def test_05_vg_search_matches_bruteforce(device, table):
                 entry = schedule.entries[i]
                 assert entry.v_g == grid[pick]
                 assert entry.flag == flag
-                assert entry.w_cut == specs[pick].w_cut
+                # The entry clamps a spec that covers beyond the range.
+                assert entry.w_cut == min(specs[pick].w_cut, scale.w_r)
 
         # Stub edge tables with pinned outcomes on a layer with w_r = 0.15.
         model = Model.new([4, 3], seed=0)
@@ -150,6 +165,7 @@ def test_05_vg_search_matches_bruteforce(device, table):
             wcut_provider=from_table({0.70: 10.0, 0.75: 10.0, 0.80: 10.0}))
         assert sched.entries[0].v_g == 0.70
         assert sched.entries[0].flag == FLAG_FIRST_COVERS
+        assert sched.entries[0].w_cut == sched.entries[0].w_r
 
         sched = search_heterogeneous_vg(
             model, None, mem, grid=grid,

@@ -415,12 +415,15 @@ def test_malformed_schedule_file_exits_4(tmp_path, capsys, malformed_json,
                                          small_csvs):
     train_csv, test_csv = small_csvs
     data = ["--data", train_csv, "--test-data", test_csv]
-    w_r = json.loads(Path(schedule_file).read_text())["entries"][0]["w_r"]
+    source = json.loads(Path(schedule_file).read_text())
+    w_r, grid = source["entries"][0]["w_r"], source["grid"]
+    off_grid = (grid[0] + grid[1]) / 2.0  # halfway between two grid points
     edited = _edited_copies(tmp_path, schedule_file, [
         lambda raw, key=key, value=value: raw["entries"][0].update(
             {key: value})
         for key, value in (("w_cut", -1), ("w_cut", 2.0 * w_r), ("v_g", "x"),
-                           ("v_g", -0.1), ("w_r", 0.0), ("w_r", None),
+                           ("v_g", -0.1), ("v_g", off_grid),
+                           ("w_r", 0.0), ("w_r", None),
                            ("g_m_cutoff", [1e-5]), ("layer", "x"),
                            ("layer", 7), ("layer", True), ("flag", [1]))]
         + [lambda raw: raw.update(grid=["x"])])

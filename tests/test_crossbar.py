@@ -57,6 +57,9 @@ def test_program_validates_inputs(device, table):
         program(w, WcutSpec(0.8, 1.5, None), scale)  # w_cut beyond range
     with pytest.raises(DomainError):
         program(w, WcutSpec(0.8, 1.0, None), scale, a_max=0.0)
+    for v_g in (-0.1, float("nan")):  # the ideal-switch read relies on it
+        with pytest.raises(DomainError):
+            program(w, WcutSpec(v_g, 0.0, None), scale)
     with pytest.raises(DomainError):
         program(w, WcutSpec(0.8, 1.0, None), scale, tile_rows=0)
     with pytest.raises(DomainError):
@@ -255,8 +258,10 @@ def test_mvm_validates_activations(device, table):
         mvm_nonideal(ts, np.ones(4), t)
     with pytest.raises(DomainError):
         mvm_nonideal(ts, np.array([0.1, np.nan, 0.2]), t)
-    with pytest.raises(DomainError):
-        mvm_nonideal(ts, np.ones(3), t, v_supply=0.0)
+    for v_supply in (0.0, np.inf, np.nan):
+        for mode in (ANALYTICAL, IDEAL_SWITCH):
+            with pytest.raises(DomainError):
+                mvm_nonideal(ts, np.ones(3), t, mode=mode, v_supply=v_supply)
 
 
 def test_readout_gain_calibration(device, table):

@@ -58,12 +58,19 @@ def test_search_flags_edge_cases(device):
     assert all(e.v_g == 0.7 and e.flag == "" for e in mid.entries)
 
 
-def test_search_requires_grid_with_provider(device):
+def test_search_requires_grid_with_provider(device, table):
     _, mem = device
     model = Model.new([3, 2], seed=0)
+    provider = lambda v, s: WcutSpec(v, 1, None)  # noqa: E731
     with pytest.raises(DomainError):
-        search_heterogeneous_vg(model, None, mem,
-                                wcut_provider=lambda v, s: WcutSpec(v, 1, None))
+        search_heterogeneous_vg(model, None, mem, wcut_provider=provider)
+    # An empty grid, or one with a repeated point, is refused as well.
+    for grid in ([], [0.8, 0.8]):
+        with pytest.raises(DomainError):
+            search_heterogeneous_vg(model, None, mem, grid=grid,
+                                    wcut_provider=provider)
+        with pytest.raises(DomainError):
+            search_heterogeneous_vg(model, table, mem, grid=grid)
 
 
 def test_homogeneous_schedule_checks_grid(baseline_model, table, device):
@@ -104,6 +111,16 @@ def test_schedule_grid_must_increase(het_schedule):
     for grid in ([1.0, 0.9, 0.8], [0.9, 0.9], []):
         with pytest.raises(DomainError, match="strictly increasing"):
             schedule_from_dict({**raw, "grid": grid})
+
+
+def test_loader_rejects_an_entry_off_its_grid():
+    # The loader used to take this entry, and step_down_schedule then raised.
+    raw = {"mode": "heterogeneous", "grid": [0.7, 0.8],
+           "entries": [{"layer": 0, "v_g": 0.75, "w_cut": 0.5, "w_r": 1.0,
+                        "g_m_cutoff": None, "flag": ""}]}
+    with pytest.raises(DomainError, match="malformed schedule payload: "
+                                          "v_g=0.75 is not on"):
+        schedule_from_dict(raw)
 
 
 def test_clip_model_enforces_schedule(baseline_model, het_schedule):
