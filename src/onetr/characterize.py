@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import mapping
-from .crossbar import _MVM_BLOCK_CELLS, DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH
+from .crossbar import DEFAULT_C_GATE, DEFAULT_PULSE_WIDTH, _block_plan
 from .device import (ANALYTICAL, DeviceMode, MemristorParams,
                      TransistorParams, solve_synapse_grid)
 from .errors import CutoffLookupError, DomainError, _write_csv
@@ -161,10 +161,9 @@ def find_gm_cutoff(v_g: float, t: TransistorParams, mem: MemristorParams,
 
 def _solve_rows(g_m, v_g, v_in, t, mode):
     """``g_eff`` per (g_m, v_g) row and v_in, in ``_MVM_BLOCK_CELLS`` calls."""
-    step = max(1, _MVM_BLOCK_CELLS // v_in.size)
     return np.concatenate([
-        solve_synapse_grid(g_m[s:s + step, None], v_in, v_g[s:s + step, None],
-                           t, mode)[2] for s in range(0, g_m.size, step)])
+        solve_synapse_grid(g_m[b, None], v_in, v_g[b, None], t, mode)[2]
+        for b in _block_plan(g_m.size, v_in.size)])
 
 
 def cutoff_table(v_g_values, t: TransistorParams, mem: MemristorParams,
@@ -240,11 +239,11 @@ def power_table(rows: int, cols: int, n_samples: int, v_g_values,
     power is the cell's ``v_in * current`` plus the per-row gate charging
     share ``c_gate * v_g**2 / pulse_width`` spread over the row.
 
-    Samples are drawn and mapped once per slice of at most
-    ``_MVM_BLOCK_CELLS`` cells (or one sample), then solved at each gate
-    voltage in row blocks of at most that many cells (or one row).  Every
-    sample draws from its own seed-and-index random stream and is reduced on
-    its own, so no estimate depends on the slicing or on the other voltages.
+    One block plan holds at most ``_MVM_BLOCK_CELLS`` cells per block: whole
+    samples, or row blocks of one larger sample, each drawn, mapped and
+    solved at every gate voltage.  Every sample draws from its own
+    seed-and-index random stream, each row is summed on its own and each
+    sample sums its rows in order, so no estimate depends on the plan.
     """
     v_gs = [float(v) for v in v_g_values]
     if rows < 1 or cols < 1 or n_samples < 1:
@@ -256,29 +255,31 @@ def power_table(rows: int, cols: int, n_samples: int, v_g_values,
     if not (0 <= c_gate < np.inf and 0 < pulse_width < np.inf):  # NaN too
         raise DomainError("c_gate must be >= 0 and pulse_width > 0, finite")
     scale = mapping.scale_from_range(_MC_WEIGHT_RANGE, mem)
-    step = max(1, _MVM_BLOCK_CELLS // (rows * cols))
-    row_step = max(1, _MVM_BLOCK_CELLS // cols)
     per_sample = np.empty((len(v_gs), n_samples))
-    for s in range(0, n_samples, step):
-        ids = range(s, min(s + step, n_samples))
-        weights = np.empty((len(ids), rows, cols))
-        v_read = np.empty((len(ids), rows))
-        for k, i in enumerate(ids):
-            rng = np.random.default_rng([seed, i])
-            weights[k] = rng.standard_normal((rows, cols))
-            v_read[k] = rng.uniform(0.0, v_supply, rows)
-        g_plus, g_minus = mapping.weight_to_conductance(
-            mapping.clip_weights(weights, _MC_WEIGHT_RANGE), scale)
-        g_m = np.maximum(g_plus, g_minus)  # the side carrying |w|
-        active_rows = (v_read > 0.0).sum(axis=1)
-        current = np.empty(weights.shape)
-        for v_g, out in zip(v_gs, per_sample):  # no solve outlives its use
-            for r in range(0, rows, row_step):
-                block = slice(r, r + row_step)
-                current[:, block] = solve_synapse_grid(
-                    g_m[:, block], v_read[:, block, None], v_g, t, mode)[0]
-            resistive = (v_read[:, :, None] * current).sum(axis=(1, 2))
-            out[ids.start:ids.stop] = (resistive + active_rows * c_gate * v_g
-                                       * v_g / pulse_width) / (rows * cols)
+    for s in _block_plan(n_samples, rows * cols):
+        v_read = np.empty((s.stop - s.start, rows, 1))  # a column per sample
+        row_power = np.empty((len(v_gs), len(v_read), rows))
+        for r in _block_plan(rows, len(v_read) * cols):
+            weights = np.empty((len(v_read), r.stop - r.start, cols))
+            for k, i in enumerate(range(n_samples)[s]):
+                if r.start == 0:  # only a lone sample has later blocks
+                    g = np.random.default_rng([seed, i])
+                g.standard_normal(out=weights[k])
+                if r.start == 0:  # its read voltages follow all its weights
+                    ahead = g
+                    if r.stop < rows:  # reach them on a twin of its stream
+                        ahead = np.random.default_rng([seed, i])
+                        for q in _block_plan(rows, cols):
+                            ahead.standard_normal((q.stop - q.start, cols))
+                    v_read[k, :, 0] = ahead.uniform(0.0, v_supply, rows)
+            g_m = np.maximum(*mapping.weight_to_conductance(  # the |w| side
+                mapping.clip_weights(weights, _MC_WEIGHT_RANGE), scale))
+            for v_g, out in zip(v_gs, row_power):  # no solve outlives its use
+                current = solve_synapse_grid(g_m, v_read[:, r], v_g, t, mode)[0]
+                out[:, r] = (v_read[:, r] * current).sum(axis=2)
+        active_rows = (v_read > 0.0).sum(axis=(1, 2))
+        for v_g, p, out in zip(v_gs, row_power, per_sample):
+            out[s] = (p.sum(axis=1) + active_rows * c_gate * v_g * v_g
+                      / pulse_width) / (rows * cols)
     return tuple(PowerReport(v_g, float(np.mean(p)), n_samples, seed, rows,
                              cols, p) for v_g, p in zip(v_gs, per_sample))

@@ -8,7 +8,7 @@ guarded by a lock file; concurrent runs into the same directory are refused.
 ``main`` parses with one parser per process, built on its first call.
 
 Exit codes: 0 success, 2 usage, 3 I/O, 4 domain (invalid values, degenerate
-inputs). Errors print a single line ``error: <message>`` on stderr.
+inputs, too large for memory). One ``error: <message>`` line goes to stderr.
 """
 
 from __future__ import annotations
@@ -216,16 +216,14 @@ def cmd_characterize(args, out: Path) -> int:
     t, _ = _device(args)
     curve = sweep_geff(args.gm, args.vg, t, v_supply=args.vsupply,
                        mode=_DEVICE_MODES[args.device_mode])
-    _write_csv(out / "geff_curve.csv", ["v_in", "g_eff"],
-               zip(curve.v_in.tolist(), curve.g_eff.tolist()))
     tm = tolerance_metric(curve)
     window = linear_vin_range(curve, tm_threshold=args.tm)
+    _write_csv(out / "geff_curve.csv", ["v_in", "g_eff"],
+               zip(curve.v_in.tolist(), curve.g_eff.tolist()))
+    v_lo, v_hi = window or (None, None)
     _write_json(out / "linear_range.json", {
-        "g_m": args.gm, "v_g": args.vg, "tm": tm.tm,
-        "tm_threshold": args.tm,
-        "v_lo": None if window is None else window[0],
-        "v_hi": None if window is None else window[1],
-    })
+        "g_m": args.gm, "v_g": args.vg, "tm": tm.tm, "tm_threshold": args.tm,
+        "v_lo": v_lo, "v_hi": v_hi})
     print(f"tm={tm.tm:.6g} linear_range={window}")
     return 0
 
@@ -561,12 +559,12 @@ def _run(args, out: Path) -> int:
             if isinstance(spec, str):  # a gate-voltage spec, not --vg V
                 parse_vg_values(spec)  # exits 2 before any file is read
         return args.func(args, out)
-    except (CliError, OSError, ToolkitError) as exc:
+    except (CliError, OSError, ToolkitError, MemoryError) as exc:
         return _fail(exc)
 
 
 def _fail(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
+    print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
     if isinstance(exc, CliError):
         return exc.exit_code
     return 3 if isinstance(exc, OSError) else 4

@@ -37,7 +37,14 @@ DEFAULT_TILE_ROWS = 64
 DEFAULT_TILE_COLS = 64
 DEFAULT_PULSE_WIDTH = 1e-9  # s
 DEFAULT_C_GATE = 1e-15  # F per row gate line
-_MVM_BLOCK_CELLS = 1 << 16  # cells per batch slice of the crossbar solve
+_MVM_BLOCK_CELLS = 1 << 16  # cells per block of every bounded solve
+
+
+def _block_plan(n: int, cells: int):
+    """Lazy slices of ``range(n)`` holding at most ``_MVM_BLOCK_CELLS``
+    cells at ``cells`` per item, or one item; an empty range is one slice."""
+    step = max(1, _MVM_BLOCK_CELLS // cells)
+    return (slice(s, min(s + step, n)) for s in range(0, max(n, 1), step))
 
 
 @dataclass(frozen=True, eq=False)  # ndarray fields: identity equality
@@ -168,11 +175,6 @@ def mvm_ideal(ts: CrossbarTileSet, activations, v_supply: float = 0.5) -> MvmRes
     return MvmResult(outputs, np.stack([i_plus, i_minus], axis=1))
 
 
-def _slice_samples(rows: int, cols: int) -> int:
-    """Samples per batch slice: at most _MVM_BLOCK_CELLS cells, or one sample."""
-    return max(1, _MVM_BLOCK_CELLS // (2 * rows * cols))
-
-
 def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     """Cell currents of (batch, rows) read voltages, in batch slices.
 
@@ -191,13 +193,12 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     g_all = np.concatenate((ts.g_plus, ts.g_minus), axis=1)
     rows, cols = ts.shape
     gain = readout_gain(ts, t, mode, v_supply)
-    step = _slice_samples(rows, cols)
     g_off = ts.scale.g_off
     live = g_all != g_off  # the cells a row's g_off solve cannot stand for
     n_live = np.count_nonzero(live, axis=1)
     col_current, energy = [], []
-    for s in range(0, max(v.shape[0], 1), step):  # an empty batch: 1 slice
-        vs = v[s:s + step]
+    for batch in _block_plan(v.shape[0], 2 * rows * cols):
+        vs = v[batch]
         if mode.variant == "ideal_switch":  # g_eff is g_m when on, else 0
             current = (g_all * vs[:, :, None] if ts.v_g > t.vth
                        else np.zeros((vs.shape[0], rows, 2 * cols)))

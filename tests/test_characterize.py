@@ -1,12 +1,13 @@
 """Conductance sweeps, the tolerance metric, cutoffs and Monte Carlo power."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onetr import characterize
+from onetr import characterize, crossbar
 from onetr import (ANALYTICAL, IDEAL_SWITCH, CutoffLookupError, CutoffTable,
                    DomainError, GeffCurve, TransistorParams, cutoff_table,
                    default_vin_grid, find_gm_cutoff, linear_vin_range,
@@ -234,9 +235,9 @@ def test_cutoff_table_matches_per_voltage_scan(request, monkeypatch, which,
     v_gs = np.linspace(0.0, 1.3, 90)
     cells = _recorded_solves(monkeypatch)
     table = cutoff_table(v_gs, t, mem, thr, 0.5, mode)
-    rows = characterize._MVM_BLOCK_CELLS // 3
+    rows = crossbar._MVM_BLOCK_CELLS // 3
     assert cells[:2] == [3 * rows, 3 * (90 * 256 - rows)]  # the probe
-    assert 0 < max(cells) <= characterize._MVM_BLOCK_CELLS
+    assert 0 < max(cells) <= crossbar._MVM_BLOCK_CELLS
     assert table.gate_voltages() == v_gs.tolist()
     assert [c for _, c in table.entries] == [
         find_gm_cutoff(v_g, t, mem, thr, 0.5, mode) for v_g in v_gs]
@@ -250,7 +251,7 @@ def test_cutoff_table_does_not_depend_on_the_solve_blocks(
     v_gs = [0.3, 0.72, 0.8, 0.85, 1.0]
     for t, mem in (device, stressed):
         want = cutoff_table(v_gs, t, mem, 0.01)
-        monkeypatch.setattr(characterize, "_MVM_BLOCK_CELLS", block)
+        monkeypatch.setattr(crossbar, "_MVM_BLOCK_CELLS", block)
         monkeypatch.setattr(characterize, "_SCAN_CHUNK", chunk)
         cells = _recorded_solves(monkeypatch)
         assert cutoff_table(v_gs, t, mem, 0.01) == want
@@ -296,8 +297,8 @@ def test_power_mc_solves_in_bounded_slices(device, monkeypatch):
     cells = _recorded_solves(monkeypatch)
     sliced = power_monte_carlo(64, 64, 400, 0.9, t, mem, seed=3)
     assert sum(cells) == 400 * 64 * 64
-    assert max(cells) <= characterize._MVM_BLOCK_CELLS
-    monkeypatch.setattr(characterize, "_MVM_BLOCK_CELLS", 400 * 64 * 64)
+    assert max(cells) <= crossbar._MVM_BLOCK_CELLS
+    monkeypatch.setattr(crossbar, "_MVM_BLOCK_CELLS", 400 * 64 * 64)
     whole = power_monte_carlo(64, 64, 400, 0.9, t, mem, seed=3)
     assert cells[-1] == 400 * 64 * 64  # the reference is one unsliced solve
     assert np.array_equal(sliced.sample_powers, whole.sample_powers)
@@ -310,7 +311,23 @@ def test_power_mc_splits_a_sample_over_the_cell_budget(device, monkeypatch):
     cells = _recorded_solves(monkeypatch)
     power_table(512, 512, 1, [0.9], t, mem, seed=1)
     assert sum(cells) == 512 * 512
-    assert max(cells) <= characterize._MVM_BLOCK_CELLS
+    assert max(cells) <= crossbar._MVM_BLOCK_CELLS
+
+
+def test_power_mc_memory_does_not_grow_with_the_array(device, monkeypatch):
+    # A 512x512 sample streams 64 row blocks of the budget; a 64x64 sample
+    # fills one block.  Both peak at about one block's arrays.
+    t, mem = device
+    monkeypatch.setattr(crossbar, "_MVM_BLOCK_CELLS", 4096)
+    peaks = []
+    for n in (64, 512):
+        tracemalloc.start()
+        try:
+            power_table(n, n, 1, [0.9], t, mem, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("block, largest", [(1, 5), (12, 10), (35, 35),
@@ -320,7 +337,7 @@ def test_power_row_blocks_do_not_change_the_reports(device, monkeypatch,
     # 7x5 samples: 1-row and 2-row blocks, one sample, two samples per call.
     t, mem = device
     want = power_table(7, 5, 3, [0.8, 1.0], t, mem, seed=2)
-    monkeypatch.setattr(characterize, "_MVM_BLOCK_CELLS", block)
+    monkeypatch.setattr(crossbar, "_MVM_BLOCK_CELLS", block)
     cells = _recorded_solves(monkeypatch)
     got = power_table(7, 5, 3, [0.8, 1.0], t, mem, seed=2)
     assert max(cells) == largest
@@ -341,7 +358,7 @@ def test_power_table_matches_per_voltage_runs(device, rows, cols, n_samples,
     # for bit, whatever the slicing; no solve exceeds the cell budget.
     t, mem = device
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(characterize, "_MVM_BLOCK_CELLS", block)
+        mp.setattr(crossbar, "_MVM_BLOCK_CELLS", block)
         cells = _recorded_solves(mp)
         reports = power_table(rows, cols, n_samples, v_gs, t, mem, seed=4,
                               mode=mode, c_gate=1e-15)

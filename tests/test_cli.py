@@ -274,6 +274,24 @@ def test_domain_errors_exit_4(tmp_path):
     assert main(["cutoff", "--tm", "1.5", "--out", str(tmp_path / "run")]) == 4
     assert main(["characterize", "--gm=-1e-5", "--vg", "0.9",
                  "--out", str(tmp_path / "run2")]) == 4
+    # The metric and the window fail before any artifact is written.
+    out = tmp_path / "run3"
+    assert main(["characterize", "--gm", "1e-5", "--vg", "0.9", "--tm", "2",
+                 "--out", str(out)]) == 4
+    assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+
+
+def test_request_too_large_for_the_host_exits_4(tmp_path, capsys):
+    # numpy refuses each 72.8 TiB array at once, so no memory is touched.
+    for i, flag in enumerate(["--samples", "--rows"]):
+        out = tmp_path / f"run{i}"
+        assert main(["power-mc", flag, "10000000000000", "--vg", "0.9",
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: Unable to allocate")
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["exit_code"] == 4
 
 
 def test_negative_max_samples_exits_4(tmp_path, trained_checkpoint,

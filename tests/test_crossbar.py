@@ -1,5 +1,6 @@
 """Tiled differential crossbar engine: programming, MVM, energy, fidelity."""
 
+import itertools
 import math
 
 import numpy as np
@@ -232,14 +233,20 @@ def test_forward_equals_every_cell_solved(monkeypatch, request, mode, which):
 
 
 def test_batch_slice_plan_bounds_cells():
-    # Planned, not allocated: a 512x512 layer over 10,000 samples.
-    for rows, cols in [(512, 512), (64, 32), (7, 5), (1, 1)]:
-        per_sample = 2 * rows * cols
-        step = crossbar._slice_samples(rows, cols)
-        assert step >= 1
-        assert step * per_sample <= max(crossbar._MVM_BLOCK_CELLS, per_sample)
-    starts = range(0, 10_000, crossbar._slice_samples(512, 512))
-    assert len(starts) == 10_000  # one sample per slice
+    # The one block plan: in-order slices covering range(n), each of at
+    # most _MVM_BLOCK_CELLS cells or one item; an empty range is one slice.
+    for n, cells in [(10_000, 2 * 512 * 512), (10_000, 2 * 64 * 32), (9, 7),
+                     (3, 1), (1, 1 << 40)]:
+        plan = list(crossbar._block_plan(n, cells))
+        assert [i for b in plan for i in range(n)[b]] == list(range(n))
+        assert all(b.stop - b.start >= 1 for b in plan)
+        assert all((b.stop - b.start) * cells
+                   <= max(crossbar._MVM_BLOCK_CELLS, cells) for b in plan)
+    assert len(list(crossbar._block_plan(10_000, 2 * 512 * 512))) == 10_000
+    assert list(crossbar._block_plan(0, 5)) == [slice(0, 0)]
+    # Lazy: a plan too long to list yields its first slices at once.
+    plan = crossbar._block_plan(10 ** 13, crossbar._MVM_BLOCK_CELLS)
+    assert list(itertools.islice(plan, 2)) == [slice(0, 1), slice(1, 2)]
 
 
 def test_inputs_saturate_at_read_scale(device, table):

@@ -45,6 +45,10 @@ RUNS = [
     # several memory-bounded sample slices, each solved at five voltages
     (0, "power_sliced", ["power-mc", "--vg", "0.5,0.8,0.9,1.0,1.2", "--rows",
                          "64", "--cols", "64", "--samples", "40"]),
+    # each sample over the cell budget: two row blocks, its weights drawn
+    # once more on a twin stream to reach its read voltages
+    (0, "power_row_blocks", ["power-mc", "--rows", "300", "--cols", "300",
+                             "--samples", "2", "--vg", "0.9"]),
     (0, "sched_step_down", ["search-vg", "--checkpoint", BASE, "--step-down"]),
     # the homogeneous builder, stepped down, and NEAT at its schedule
     (0, "sched_homogeneous_step_down", ["search-vg", "--checkpoint", BASE,
