@@ -235,9 +235,11 @@ def power_table(rows: int, cols: int, n_samples: int, v_g_values,
 
     Each sample programs the array from standard-normal weights clipped to
     [-3, 3] through the usual weight-to-conductance map and drives every row
-    with an independent read voltage uniform on (0, v_supply).  Per-synapse
-    power is the cell's ``v_in * current`` plus the per-row gate charging
-    share ``c_gate * v_g**2 / pulse_width`` spread over the row.
+    with an independent read voltage uniform on (0, v_supply).  Each row
+    driver is billed its read voltage times the current it delivers,
+    ``v_r * sum_c I_rc``, plus the gate charging power
+    ``c_gate * v_g**2 / pulse_width``; per-synapse power spreads each
+    sample's total over its ``rows * cols`` cells.
 
     One block plan holds at most ``_MVM_BLOCK_CELLS`` cells per block: whole
     samples, or row blocks of one larger sample, each drawn, mapped and
@@ -250,8 +252,10 @@ def power_table(rows: int, cols: int, n_samples: int, v_g_values,
         raise DomainError("rows, cols and n_samples must be at least 1")
     if seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
-    if v_supply <= 0:
-        raise DomainError("v_supply must be positive")
+    if not v_gs:
+        raise DomainError("power_table needs at least one gate voltage")
+    if not 0 < v_supply < np.inf:  # NaN too
+        raise DomainError("v_supply must be positive and finite")
     if not (0 <= c_gate < np.inf and 0 < pulse_width < np.inf):  # NaN too
         raise DomainError("c_gate must be >= 0 and pulse_width > 0, finite")
     scale = mapping.scale_from_range(_MC_WEIGHT_RANGE, mem)
@@ -276,7 +280,7 @@ def power_table(rows: int, cols: int, n_samples: int, v_g_values,
                 mapping.clip_weights(weights, _MC_WEIGHT_RANGE), scale))
             for v_g, out in zip(v_gs, row_power):  # no solve outlives its use
                 current = solve_synapse_grid(g_m, v_read[:, r], v_g, t, mode)[0]
-                out[:, r] = (v_read[:, r] * current).sum(axis=2)
+                out[:, r] = v_read[:, r, 0] * current.sum(axis=2)
         active_rows = (v_read > 0.0).sum(axis=(1, 2))
         for v_g, p, out in zip(v_gs, row_power, per_sample):
             out[s] = (p.sum(axis=1) + active_rows * c_gate * v_g * v_g

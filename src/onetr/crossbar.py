@@ -178,14 +178,16 @@ def mvm_ideal(ts: CrossbarTileSet, activations, v_supply: float = 0.5) -> MvmRes
 def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     """Cell currents of (batch, rows) read voltages, in batch slices.
 
-    Each slice fills a whole (batch, rows, 2*cols) current array for the
-    column sums and the energy: in closed form for the ideal switch; for the
-    analytical model, by solving, for each (sample, row) read at a nonzero
-    voltage, its cells off ``g_off`` and one ``g_off`` cell that every
-    resting cell of the row shares.  The currents equal those of solving
-    every cell (see the module docstring).  The slice bound still counts the
-    layer's cells, and every sum runs per sample, so results do not depend
-    on the slicing.
+    Each slice fills a whole (batch, rows, 2*cols) current array: in closed
+    form for the ideal switch; for the analytical model, by solving, for each
+    (sample, row) read at a nonzero voltage, its cells off ``g_off`` and one
+    ``g_off`` cell that every resting cell of the row shares.  The currents
+    equal those of solving every cell (see the module docstring).  A slice
+    keeps only its column currents and, if ``pulse_width`` is given, each
+    sample's resistive sum: every row driver is billed ``v_r * sum_c I_rc``
+    once.  Pulse width and gate charge are applied once, after the slices.
+    The slice bound counts the layer's cells, and every sum runs per sample,
+    so results do not depend on the slicing.
     """
     if pulse_width is not None and not (0 < pulse_width < np.inf
                                         and 0 <= c_gate < np.inf):  # NaN too
@@ -196,7 +198,7 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     g_off = ts.scale.g_off
     live = g_all != g_off  # the cells a row's g_off solve cannot stand for
     n_live = np.count_nonzero(live, axis=1)
-    col_current, energy = [], []
+    col_current, resistive = [], []
     for batch in _block_plan(v.shape[0], 2 * rows * cols):
         vs = v[batch]
         if mode.variant == "ideal_switch":  # g_eff is g_m when on, else 0
@@ -214,29 +216,21 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
             current[read] = i[g_m.size:, None]  # the row's g_off current
             current[cells] = i[:g_m.size]
         col_current.append(current.sum(axis=1))  # fixed global row order
-        if pulse_width is not None:
-            energy.append(_energy_from_currents(ts, vs, current,
-                                                pulse_width, c_gate))
+        if pulse_width is not None:  # each row driver: v_r * sum_c I_rc
+            with np.errstate(over="ignore"):  # checked once, below
+                resistive.append((vs * current.sum(axis=2)).sum(axis=1))
     col_current = np.concatenate(col_current)
     i_plus, i_minus = col_current[:, :cols], col_current[:, cols:]
+    energy = None
+    if pulse_width is not None:  # a gate charge per active row, tile column
+        gates = (v > 0.0).sum(axis=1) * -(-cols // ts.tile_cols)
+        with np.errstate(over="ignore"):
+            energy = (np.concatenate(resistive) * pulse_width
+                      + gates * c_gate * (ts.v_g * ts.v_g))
+        if not np.all(np.isfinite(energy)):
+            raise DomainError("read energy failed: beyond float range")
     return MvmResult(_rescale(ts, i_plus, i_minus, gain, v_supply),
-                     np.stack([i_plus, i_minus], axis=-1),
-                     np.concatenate(energy) if energy else None)
-
-
-def _energy_from_currents(ts, v, current, pulse_width, c_gate):
-    """Per-sample resistive read energy plus one gate charge per active row
-    in each column of tiles."""
-    cols = ts.shape[1]
-    gates = (v > 0.0).sum(axis=1) * -(-cols // ts.tile_cols)
-    try:
-        with np.errstate(over="raise"):
-            power = v[:, :, None] * current  # (batch, rows, 2*cols)
-            resistive = (power[:, :, :cols].sum(axis=(1, 2))
-                         + power[:, :, cols:].sum(axis=(1, 2)))
-            return resistive * pulse_width + gates * c_gate * ts.v_g ** 2
-    except FloatingPointError as exc:  # a read beyond float range
-        raise DomainError(f"read energy failed: {exc}") from exc
+                     np.stack([i_plus, i_minus], axis=-1), energy)
 
 
 def mvm_nonideal(ts: CrossbarTileSet, activations, t: TransistorParams,
@@ -271,10 +265,10 @@ def mvm_energy(ts: CrossbarTileSet, activations, t: TransistorParams,
                c_gate: float = DEFAULT_C_GATE) -> float:
     """Energy of one matrix-vector operation, in joules.
 
-    Resistive read energy ``v_in * current * pulse_width`` summed over every
-    cell, plus a gate charging term ``c_gate * v_g**2`` per active row in
-    each column of tiles.  All-zero activations with a zero gate capacitance
-    cost exactly zero.
+    Each row driver is billed its read voltage times the current it
+    delivers, ``v_r * sum_c I_rc * pulse_width``, plus a gate charging term
+    ``c_gate * v_g**2`` per active row in each column of tiles.  All-zero
+    activations with a zero gate capacitance cost exactly zero.
     """
     return mvm_nonideal(ts, activations, t, mode, v_supply, pulse_width,
                         c_gate).energy

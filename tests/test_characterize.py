@@ -393,6 +393,19 @@ def test_power_gate_term_adds_exact_constant(device):
     assert gated.mean_power - base.mean_power == pytest.approx(share, rel=1e-9)
 
 
+@pytest.mark.parametrize("v_supply", [math.inf, math.nan])
+def test_power_table_refuses_a_non_finite_supply(device, v_supply):
+    t, mem = device
+    with pytest.raises(DomainError, match="v_supply"):
+        power_table(2, 2, 1, [0.9], t, mem, v_supply=v_supply)
+
+
+def test_power_table_refuses_no_gate_voltages(device):
+    t, mem = device
+    with pytest.raises(DomainError, match="gate voltage"):
+        power_table(2, 2, 1, [], t, mem)
+
+
 def test_power_validates_arguments(device):
     t, mem = device
     with pytest.raises(DomainError):

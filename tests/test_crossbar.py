@@ -2,14 +2,17 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, WcutSpec,
-                   mvm_energy, mvm_ideal, mvm_nonideal, mvm_nonideal_batch,
-                   program, readout_gain, scale_from_range,
-                   solve_synapse_grid, sweep_geff, tolerance_metric)
+                   default_device, leakage_stressed_device, mvm_energy,
+                   mvm_ideal, mvm_nonideal, mvm_nonideal_batch, program,
+                   readout_gain, scale_from_range, solve_synapse_grid,
+                   sweep_geff, tolerance_metric)
 from onetr import crossbar
 
 TM_THRESHOLD = 0.025
@@ -157,16 +160,16 @@ def test_batch_slicing_is_bit_identical(monkeypatch, device, table, mode):
     whole = mvm_nonideal_batch(ts, batch, t, mode=mode, pulse_width=1e-9)
     per_sample = 2 * 12 * 6
     monkeypatch.setattr(crossbar, "_MVM_BLOCK_CELLS", 3 * per_sample + 10)
-    sizes = []
-    energy = crossbar._energy_from_currents  # called once per batch slice
+    plans = []
+    plan = crossbar._block_plan  # one plan per read: its batch slices
 
-    def recording(ts, v, *args):
-        sizes.append(v.shape[0])
-        return energy(ts, v, *args)
+    def recording(n, cells):
+        plans.append(list(plan(n, cells)))
+        return iter(plans[-1])
 
-    monkeypatch.setattr(crossbar, "_energy_from_currents", recording)
+    monkeypatch.setattr(crossbar, "_block_plan", recording)
     sliced = mvm_nonideal_batch(ts, batch, t, mode=mode, pulse_width=1e-9)
-    assert sizes == [3, 3, 1]
+    assert [[b.stop - b.start for b in p] for p in plans] == [[3, 3, 1]]
     assert np.array_equal(sliced.outputs, whole.outputs)
     assert np.array_equal(sliced.column_currents, whole.column_currents)
     assert np.array_equal(sliced.energy, whole.energy)
@@ -175,7 +178,7 @@ def test_batch_slicing_is_bit_identical(monkeypatch, device, table, mode):
 
 def _every_cell_solved(ts, x, t, mode, v_supply, pulse_width, c_gate):
     """The forward with every cell solved in one broadcast: column sums in
-    global row order and the same energy formula."""
+    global row order and each row driver billed ``v_r * sum_c I_rc``."""
     v = np.clip(x / ts.a_max, 0.0, 1.0) * v_supply
     cols = ts.shape[1]
     g_all = np.concatenate((ts.g_plus, ts.g_minus), axis=1)
@@ -185,9 +188,7 @@ def _every_cell_solved(ts, x, t, mode, v_supply, pulse_width, c_gate):
     gain = readout_gain(ts, t, mode, v_supply)
     outputs = (i_plus - i_minus) * (ts.scale.k_readout * gain * ts.a_max
                                     / v_supply)
-    power = v[:, :, None] * current
-    resistive = (power[:, :, :cols].sum(axis=(1, 2))
-                 + power[:, :, cols:].sum(axis=(1, 2)))
+    resistive = (v * current.sum(axis=2)).sum(axis=1)
     gates = (v > 0.0).sum(axis=1) * -(-cols // ts.tile_cols)
     energy = resistive * pulse_width + gates * c_gate * ts.v_g ** 2
     return outputs, np.stack([i_plus, i_minus], axis=-1), energy
@@ -360,6 +361,73 @@ def test_energy_scales_with_pulse_width(device, table):
     long = mvm_energy(ts, x, t, pulse_width=2e-9, c_gate=0.0)
     assert long == pytest.approx(2.0 * short, rel=1e-12)
     assert mvm_energy(ts, np.zeros(10), t) == 0.0
+
+
+@st.composite
+def energy_reads(draw):
+    """A small programmed layer, (batch, rows) activations with zero and
+    negative inputs, a device and mode, a pulse width and a gate charge."""
+    t, mem = draw(st.sampled_from([default_device(),
+                                   leakage_stressed_device()]))
+    rows, cols, batch = (draw(st.integers(1, 6)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    w = rng.normal(size=(rows, cols))
+    w[rng.random(w.shape) < 0.25] = 0.0  # pairs resting at g_off
+    scale = scale_from_range(max(float(np.max(np.abs(w))), 1e-3), mem)
+    ts = program(w, WcutSpec(draw(st.sampled_from([0.5, 0.8, 1.0, 1.8])),
+                             draw(st.floats(0.1, 1.0)) * scale.w_r, None),
+                 scale, a_max=draw(st.floats(0.5, 2.0)),
+                 tile_rows=draw(st.integers(1, 7)),
+                 tile_cols=draw(st.integers(1, 7)))
+    x = rng.uniform(-0.5, 2.5, (batch, rows))  # negatives read as zero
+    x[rng.random(x.shape) < 0.3] = 0.0
+    return (ts, x, t, draw(st.sampled_from([ANALYTICAL, IDEAL_SWITCH])),
+            draw(st.floats(1e-10, 1e-8)), draw(st.floats(1e-16, 1e-13)),
+            draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60)
+@given(energy_reads())
+def test_energy_properties(read):
+    # Each row driver is billed v_r * sum_c I_rc for the pulse, plus one
+    # gate charge per active row in each column of tiles.
+    ts, x, t, mode, pulse_width, c_gate, per_slice = read
+    rows, cols = ts.shape
+
+    def energy(x, pulse_width=pulse_width, c_gate=c_gate):
+        return mvm_nonideal_batch(ts, x, t, mode=mode, v_supply=0.5,
+                                  pulse_width=pulse_width,
+                                  c_gate=c_gate).energy
+
+    e, e0 = energy(x), energy(x, c_gate=0.0)
+    assert np.all(e0 >= 0.0) and np.all(e >= e0)
+    assert np.array_equal(energy(x, 2 * pulse_width, 0.0), 2 * e0)
+    active = np.count_nonzero(x > 0.0, axis=1)
+    gates = active * -(-cols // ts.tile_cols) * c_gate * ts.v_g ** 2
+    assert np.all(np.abs(e - e0 - gates) <= 1e-12 * e)
+    v = np.clip(x / ts.a_max, 0.0, 1.0) * 0.5
+    g_all = np.concatenate((ts.g_plus, ts.g_minus), axis=1)
+    current = solve_synapse_grid(g_all, v[:, :, None], ts.v_g, t, mode)[0]
+    every_cell = pulse_width * (v[:, :, None] * current).sum(axis=(1, 2))
+    assert np.all(np.abs(e0 - every_cell) <= 1e-12 * every_cell)
+    order = np.random.default_rng(rows * cols).permutation(len(x))
+    assert np.array_equal(energy(x[order]), e[order])
+    with mock.patch.object(crossbar, "_MVM_BLOCK_CELLS",
+                           per_slice * 2 * rows * cols):
+        assert np.array_equal(energy(x), e)
+
+
+@pytest.mark.parametrize("mode", [ANALYTICAL, IDEAL_SWITCH])
+@pytest.mark.parametrize("v_supply, v_g", [(1e300, 0.8), (0.5, 1e200)])
+def test_read_energy_beyond_float_range_is_refused(device, mode, v_supply,
+                                                   v_g):
+    t, mem = device
+    scale = scale_from_range(1.0, mem)
+    ts = program(np.array([[0.7, -0.2], [0.4, 0.9]]),
+                 WcutSpec(v_g, scale.w_r, None), scale)
+    with pytest.raises(DomainError, match="read energy failed"):
+        mvm_nonideal_batch(ts, np.ones((2, 2)), t, mode=mode,
+                           v_supply=v_supply, pulse_width=1e-9)
 
 
 def test_programmed_layers_compare_by_identity(device, table):

@@ -70,6 +70,9 @@ RUNS = [
                          "20", *IDEAL]),
     (0, "energy_stressed", ["energy", "--checkpoint", NEAT, "--max-samples",
                             "20", *STRESSED]),
+    # the resistive term alone: no gate charge, twice the pulse
+    (0, "energy_resistive", ["energy", "--checkpoint", NEAT, "--max-samples",
+                             "20", "--c-gate", "0", "--pulse-width", "2e-9"]),
     (0, "report_ideal", ["report", "--checkpoint", BASE, "--max-samples",
                          "20", *IDEAL]),
     (0, "report_stressed", ["report", "--checkpoint", BASE, "--max-samples",
