@@ -260,30 +260,34 @@ def power_table(rows: int, cols: int, n_samples: int, v_g_values,
         raise DomainError("c_gate must be >= 0 and pulse_width > 0, finite")
     scale = mapping.scale_from_range(_MC_WEIGHT_RANGE, mem)
     per_sample = np.empty((len(v_gs), n_samples))
-    for s in _block_plan(n_samples, rows * cols):
-        v_read = np.empty((s.stop - s.start, rows, 1))  # a column per sample
-        row_power = np.empty((len(v_gs), len(v_read), rows))
-        for r in _block_plan(rows, len(v_read) * cols):
-            weights = np.empty((len(v_read), r.stop - r.start, cols))
-            for k, i in enumerate(range(n_samples)[s]):
-                if r.start == 0:  # only a lone sample has later blocks
-                    g = np.random.default_rng([seed, i])
-                g.standard_normal(out=weights[k])
-                if r.start == 0:  # its read voltages follow all its weights
-                    ahead = g
-                    if r.stop < rows:  # reach them on a twin of its stream
-                        ahead = np.random.default_rng([seed, i])
-                        for q in _block_plan(rows, cols):
-                            ahead.standard_normal((q.stop - q.start, cols))
-                    v_read[k, :, 0] = ahead.uniform(0.0, v_supply, rows)
-            g_m = np.maximum(*mapping.weight_to_conductance(  # the |w| side
-                mapping.clip_weights(weights, _MC_WEIGHT_RANGE), scale))
-            for v_g, out in zip(v_gs, row_power):  # no solve outlives its use
-                current = solve_synapse_grid(g_m, v_read[:, r], v_g, t, mode)[0]
-                out[:, r] = v_read[:, r, 0] * current.sum(axis=2)
-        active_rows = (v_read > 0.0).sum(axis=(1, 2))
-        for v_g, p, out in zip(v_gs, row_power, per_sample):
-            out[s] = (p.sum(axis=1) + active_rows * c_gate * v_g * v_g
-                      / pulse_width) / (rows * cols)
+    with np.errstate(over="ignore"):  # checked once, below
+        for s in _block_plan(n_samples, rows * cols):
+            v_read = np.empty((s.stop - s.start, rows, 1))  # a column each
+            row_power = np.empty((len(v_gs), len(v_read), rows))
+            for r in _block_plan(rows, len(v_read) * cols):
+                weights = np.empty((len(v_read), r.stop - r.start, cols))
+                for k, i in enumerate(range(n_samples)[s]):
+                    if r.start == 0:  # only a lone sample has later blocks
+                        g = np.random.default_rng([seed, i])
+                    g.standard_normal(out=weights[k])
+                    if r.start == 0:  # read voltages follow all weights
+                        ahead = g
+                        if r.stop < rows:  # reach them on a twin of its stream
+                            ahead = np.random.default_rng([seed, i])
+                            for q in _block_plan(rows, cols):
+                                ahead.standard_normal((q.stop - q.start, cols))
+                        v_read[k, :, 0] = ahead.uniform(0.0, v_supply, rows)
+                g_m = np.maximum(*mapping.weight_to_conductance(  # |w| side
+                    mapping.clip_weights(weights, _MC_WEIGHT_RANGE), scale))
+                for v_g, out in zip(v_gs, row_power):  # no solve is kept
+                    current = solve_synapse_grid(g_m, v_read[:, r], v_g, t,
+                                                 mode)[0]
+                    out[:, r] = v_read[:, r, 0] * current.sum(axis=2)
+            active_rows = (v_read > 0.0).sum(axis=(1, 2))
+            for v_g, p, out in zip(v_gs, row_power, per_sample):
+                out[s] = (p.sum(axis=1) + active_rows * c_gate * v_g * v_g
+                          / pulse_width) / (rows * cols)
+    if not np.all(np.isfinite(per_sample.sum(axis=1))):  # and each mean
+        raise DomainError("read power failed: beyond float range")
     return tuple(PowerReport(v_g, float(np.mean(p)), n_samples, seed, rows,
                              cols, p) for v_g, p in zip(v_gs, per_sample))

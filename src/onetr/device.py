@@ -251,7 +251,7 @@ def _bundled(name: str) -> tuple[TransistorParams, MemristorParams]:
 
 
 def default_device() -> tuple[TransistorParams, MemristorParams]:
-    """The bundled calibration produced by :mod:`onetr.calibrate`."""
+    """The bundled calibration produced by ``tools/calibrate.py``."""
     return _bundled("device_default.json")
 
 

@@ -12,7 +12,9 @@ from hypothesis import settings
 from onetr import (Model, TrainConfig, cutoff_table, default_device,
                    leakage_stressed_device, make_blobs,
                    search_heterogeneous_vg, train)
-from onetr.calibrate import VG_GRID
+from onetr.cli import DEFAULT_VG_GRID, parse_vg_values
+
+VG_GRID = tuple(parse_vg_values(DEFAULT_VG_GRID))
 
 settings.register_profile("toolkit", deadline=None, max_examples=30)
 settings.load_profile("toolkit")

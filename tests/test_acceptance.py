@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import acceptance
+from conftest import VG_GRID, acceptance
 
 from onetr import (IDEAL_SWITCH, Model, TrainConfig, WcutSpec, accuracy,
                    clip_model, clip_weights, cutoff_table, evaluate,
@@ -20,7 +20,6 @@ from onetr import (IDEAL_SWITCH, Model, TrainConfig, WcutSpec, accuracy,
                    schedule_from_dict, schedule_to_dict,
                    search_heterogeneous_vg, solve_synapse_grid, train,
                    transistor_current)
-from onetr.calibrate import VG_GRID
 from onetr.cli import main as cli_main
 from onetr.mapping import layer_scale
 from onetr.training import FLAG_FIRST_COVERS, FLAG_NO_COVERAGE, FLAG_NONE

@@ -400,6 +400,16 @@ def test_power_table_refuses_a_non_finite_supply(device, v_supply):
         power_table(2, 2, 1, [0.9], t, mem, v_supply=v_supply)
 
 
+@pytest.mark.parametrize("mode", [ANALYTICAL, IDEAL_SWITCH])
+@pytest.mark.parametrize("v_supply, v_g", [(1e300, 0.8), (0.5, 1e200)])
+def test_power_table_refuses_power_beyond_float_range(device, mode, v_supply,
+                                                      v_g):
+    # RuntimeWarnings are errors in the suite: the overflow stays silent.
+    t, mem = device
+    with pytest.raises(DomainError, match="read power failed"):
+        power_table(1, 1, 1, [v_g], t, mem, v_supply=v_supply, mode=mode)
+
+
 def test_power_table_refuses_no_gate_voltages(device):
     t, mem = device
     with pytest.raises(DomainError, match="gate voltage"):

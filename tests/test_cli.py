@@ -519,6 +519,11 @@ def test_non_finite_values_exit_4(tmp_path, capsys, trained_checkpoint,
              "--max-samples", "5"] + data,
             ["power-mc", "--rows", "2", "--cols", "2", "--samples", "2",
              "--c-gate", "nan"],
+            # a read power beyond float range
+            ["power-mc", "--rows", "1", "--cols", "1", "--samples", "1",
+             "--vg", "1e200"],
+            ["power-mc", "--rows", "1", "--cols", "1", "--samples", "1",
+             "--vg", "0.8", "--vsupply", "1e300"],
             ["eval", *ckpt, "--mode", "crossbar", "--schedule", schedule_file,
              "--vsupply", "1e308"] + data,
             ["eval", "--checkpoint", infinite_weight] + data,

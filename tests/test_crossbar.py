@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, WcutSpec,
                    default_device, leakage_stressed_device, mvm_energy,
@@ -364,9 +364,10 @@ def test_energy_scales_with_pulse_width(device, table):
 
 
 @st.composite
-def energy_reads(draw):
-    """A small programmed layer, (batch, rows) activations with zero and
-    negative inputs, a device and mode, a pulse width and a gate charge."""
+def crossbar_reads(draw):
+    """A small layer programmed at two tile splits, (batch, rows) activations
+    with zero and negative inputs, a sample order, the clipped weights, a
+    device and mode, and a sample count per batch slice."""
     t, mem = draw(st.sampled_from([default_device(),
                                    leakage_stressed_device()]))
     rows, cols, batch = (draw(st.integers(1, 6)) for _ in range(3))
@@ -374,16 +375,61 @@ def energy_reads(draw):
     w = rng.normal(size=(rows, cols))
     w[rng.random(w.shape) < 0.25] = 0.0  # pairs resting at g_off
     scale = scale_from_range(max(float(np.max(np.abs(w))), 1e-3), mem)
-    ts = program(w, WcutSpec(draw(st.sampled_from([0.5, 0.8, 1.0, 1.8])),
-                             draw(st.floats(0.1, 1.0)) * scale.w_r, None),
-                 scale, a_max=draw(st.floats(0.5, 2.0)),
-                 tile_rows=draw(st.integers(1, 7)),
-                 tile_cols=draw(st.integers(1, 7)))
+    entry = WcutSpec(draw(st.sampled_from([0.5, 0.8, 1.0, 1.8])),
+                     draw(st.floats(0.1, 1.0)) * scale.w_r, None)
+    a_max = draw(st.floats(0.5, 2.0))
+    ts, resplit = (program(w, entry, scale, a_max=a_max,
+                           tile_rows=draw(st.integers(1, 7)),
+                           tile_cols=draw(st.integers(1, 7)))
+                   for _ in range(2))
     x = rng.uniform(-0.5, 2.5, (batch, rows))  # negatives read as zero
     x[rng.random(x.shape) < 0.3] = 0.0
-    return (ts, x, t, draw(st.sampled_from([ANALYTICAL, IDEAL_SWITCH])),
-            draw(st.floats(1e-10, 1e-8)), draw(st.floats(1e-16, 1e-13)),
+    return (ts, resplit, x, draw(st.permutations(range(batch))),
+            np.clip(w, -entry.w_cut, entry.w_cut), t,
+            draw(st.sampled_from([ANALYTICAL, IDEAL_SWITCH])),
             draw(st.integers(1, 3)))
+
+
+@st.composite
+def energy_reads(draw):
+    """A read of ``crossbar_reads`` with a pulse width and a gate charge."""
+    ts, _, x, _, _, t, mode, per_slice = draw(crossbar_reads())
+    return (ts, x, t, mode, draw(st.floats(1e-10, 1e-8)),
+            draw(st.floats(1e-16, 1e-13)), per_slice)
+
+
+@settings(max_examples=60)
+@given(crossbar_reads())
+def test_read_properties(read):
+    # Outputs and column currents are bit-identical under a second tile
+    # split, any sample order and any batch slicing.
+    ts, resplit, x, order, _, t, mode, per_slice = read
+    rows, cols = ts.shape
+
+    def fields(ts, x):
+        r = mvm_nonideal_batch(ts, x, t, mode=mode)
+        return r.outputs, r.column_currents
+
+    want = fields(ts, x)
+    assert all(map(np.array_equal, fields(resplit, x), want))
+    assert all(map(np.array_equal, fields(ts, x[order]),
+                   (f[order] for f in want)))
+    with mock.patch.object(crossbar, "_MVM_BLOCK_CELLS",
+                           per_slice * 2 * rows * cols):
+        assert all(map(np.array_equal, fields(ts, x), want))
+
+
+@settings(max_examples=60)
+@given(crossbar_reads())
+def test_ideal_switch_reads_the_exact_clipped_product(read):
+    # The bound scales with the sums of |terms|: where the terms cancel, the
+    # reference product is itself rounding noise.
+    ts, _, x, _, w_clip, t, _, _ = read
+    assume(ts.v_g > t.vth)
+    a = np.clip(x, 0.0, ts.a_max)
+    got = mvm_nonideal_batch(ts, x, t, mode=IDEAL_SWITCH).outputs
+    np.testing.assert_allclose(got, a @ w_clip, rtol=1e-12,
+                               atol=1e-12 * np.max(a @ np.abs(w_clip)))
 
 
 @settings(max_examples=60)

@@ -1,9 +1,10 @@
 """Bakes the bundled device parameter files.
 
-Run ``python3 -m onetr.calibrate`` to regenerate the two JSON files under
-``onetr/params/``. The default transistor is chosen by scanning a small
-transconductance range until the conductance-cutoff table over the standard
-gate-voltage grid has the documented shape:
+Run ``python tools/calibrate.py`` from a checkout to regenerate the two JSON
+files under ``src/onetr/params/``. The default transistor is chosen by
+scanning a small transconductance range until the conductance-cutoff table
+over the standard gate-voltage grid (the CLI's ``DEFAULT_VG_GRID``) has the
+documented shape:
 
 * every grid voltage has a cutoff;
 * cutoffs are non-decreasing in the gate voltage;
@@ -18,20 +19,21 @@ tolerance threshold there, and the linear window that survives sits away
 from low read voltages.
 """
 
-from __future__ import annotations
-
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .characterize import (DEFAULT_TM_THRESHOLD, DEFAULT_V_SUPPLY,
-                           cutoff_table, default_vin_grid, find_gm_cutoff,
-                           linear_vin_range, sweep_geff)
-from .device import (IDEAL_SWITCH, MemristorParams, TransistorParams,
-                     save_device_file)
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+from onetr.characterize import (  # noqa: E402
+    DEFAULT_TM_THRESHOLD, DEFAULT_V_SUPPLY, cutoff_table, default_vin_grid,
+    find_gm_cutoff, linear_vin_range, sweep_geff)
+from onetr.cli import DEFAULT_VG_GRID, parse_vg_values  # noqa: E402
+from onetr.device import (IDEAL_SWITCH, MemristorParams,  # noqa: E402
+                          TransistorParams, save_device_file)
 
-VG_GRID = tuple(np.round(np.arange(0.70, 1.0001, 0.05), 2))
+VG_GRID = tuple(parse_vg_values(DEFAULT_VG_GRID))
 
 _VTH = 0.60  # V
 _KP_CANDIDATES = np.linspace(3.0e-4, 9.0e-4, 25)  # A/V^2
@@ -108,7 +110,7 @@ def main() -> int:
     if ideal != (grid[0], grid[-1]):
         raise RuntimeError(f"ideal switch should span the full grid: {ideal}")
 
-    params_dir = Path(__file__).resolve().parent / "params"
+    params_dir = SRC / "onetr" / "params"
     params_dir.mkdir(exist_ok=True)
     save_device_file(params_dir / "device_default.json", t_default, mem)
     save_device_file(params_dir / "device_leakage_stressed.json",

@@ -49,6 +49,9 @@ RUNS = [
     # once more on a twin stream to reach its read voltages
     (0, "power_row_blocks", ["power-mc", "--rows", "300", "--cols", "300",
                              "--samples", "2", "--vg", "0.9"]),
+    # a read power beyond float range: refused, only the manifest written
+    (4, "power_overflow", ["power-mc", "--rows", "1", "--cols", "1",
+                           "--samples", "1", "--vg", "1e200"]),
     (0, "sched_step_down", ["search-vg", "--checkpoint", BASE, "--step-down"]),
     # the homogeneous builder, stepped down, and NEAT at its schedule
     (0, "sched_homogeneous_step_down", ["search-vg", "--checkpoint", BASE,
