@@ -33,6 +33,9 @@ V_EPSILON = 1e-6
 _SOLVE_RTOL = 1e-13
 _SOLVE_MAX_ITERS = 64
 _SOLVE_BLOCK = 4096
+# Plain Newton steps before the residual test; 3 pass 99.5% of power-mc cells,
+# 99.9%/99.96% of report/energy reads, 88.4%/100% of default/stressed scans.
+_PLAIN_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -95,16 +98,16 @@ def _gate_terms(vgs, p: TransistorParams):
     return leak0, np.maximum(ov, 0.0)
 
 
-def _drain_current(leak0, ov_pos, vds, p: TransistorParams):
-    """Drain current and its ``vds`` slope from one ``expm1``, unvalidated;
-    ``vc``, clamped at the overdrive, gives triode and saturation one form."""
+def _drain_current(leak0, ov_pos, vds, p: TransistorParams, slope=True):
+    """Drain current and, if ``slope``, its ``vds`` slope from one ``expm1``,
+    unvalidated; clamping ``vc`` at the overdrive unifies both regions."""
     e = np.expm1(vds * (-1.0 / p.v_thermal))
     vc = np.minimum(vds, ov_pos)
     q, clm = vc * (ov_pos - 0.5 * vc), 1.0 + p.lambda_ * vds
     leak = leak0 * e  # minus the leak current
-    di = (p.kp * ((ov_pos - vc) * clm + p.lambda_ * q)
-          + (leak0 + leak) * (1.0 / p.v_thermal))
-    return p.kp * q * clm - leak, di
+    i = p.kp * q * clm - leak
+    return (i, p.kp * ((ov_pos - vc) * clm + p.lambda_ * q)
+            + (leak0 + leak) * (1.0 / p.v_thermal)) if slope else i
 
 
 def transistor_current(vgs, vds, p: TransistorParams):
@@ -123,53 +126,80 @@ def transistor_current(vgs, vds, p: TransistorParams):
         raise DomainError("vgs and vds must be finite")
     if np.any(vgs < 0.0) or np.any(vds < 0.0):
         raise DomainError("vgs and vds must be non-negative")
-    i, _ = _drain_current(*_gate_terms(vgs, p), vds, p)
+    i = _drain_current(*_gate_terms(vgs, p), vds, p, False)
     return float(i) if scalar else i
 
 
+def _bracketed_newton(g_m, v_in, leak0, ov_pos, p: TransistorParams):
+    """Drop ``u`` on 1-D arrays by Newton from the small-signal drop, bisecting
+    the bracket where a step would leave it; see :func:`_solve_drop`."""
+    u_out, idx = np.empty_like(v_in), np.arange(v_in.size)
+    g0 = p.kp * ov_pos + leak0 * (1.0 / p.v_thermal)
+    u, lo, hi = v_in * g0 / (g_m + g0), np.zeros_like(v_in), v_in
+    for _ in range(_SOLVE_MAX_ITERS):
+        i, di = _drain_current(leak0, ov_pos, v_in - u, p)
+        current = u * g_m
+        f = current - i
+        u_out[idx] = u  # converged cells then leave the active arrays
+        lo, hi = np.where(f < 0.0, u, lo), np.where(f > 0.0, u, hi)
+        newton = u - f / (g_m + di)
+        active = np.abs(f) > _SOLVE_RTOL * current
+        stray = active & ((newton <= lo) | (newton >= hi))
+        if stray.any():  # bisect, unless u cannot move or lo, hi meet
+            mid = 0.5 * (lo + hi)
+            active &= ~stray | ((newton != u) & (lo < mid) & (mid < hi))
+            newton = np.where(stray, mid, newton)
+        u = newton
+        if not active.all():
+            keep = np.flatnonzero(active)
+            if not keep.size:
+                break
+            idx, g_m, v_in, leak0, ov_pos, u, lo, hi = (a.take(keep) for a in (
+                idx, g_m, v_in, leak0, ov_pos, u, lo, hi))
+    return u_out
+
+
 def _solve_drop(g_m, v_in, v_g, p: TransistorParams):
-    """Memristor drop ``u`` on broadcast arrays, by bracketed Newton per block.
+    """Memristor drop ``u`` on broadcast arrays, in two phases.
 
     ``f(u) = u * g_m - i_transistor(v_g, v_in - u)`` rises from ``f(0) <= 0``
-    to ``f(v_in) > 0``.  Newton starts at the small-signal drop (transistor
-    conductance ``G0 = kp * ov + leak0 / v_thermal``).  If ``2 * lambda_ * ov
-    < 1``, ``f`` is convex and the iterates fall monotonically onto the root;
-    a step that leaves the bracket bisects it.  Each cell stops on its own, so
-    its neighbours do not change its result, at its last evaluated ``u``: on
-    ``|f| <= _SOLVE_RTOL * u * g_m``, a step that cannot move ``u`` or a
-    closed bracket.
+    to ``f(v_in) > 0``.  Each cell takes ``_PLAIN_STEPS`` Newton steps from
+    the small-signal drop (``G0 = kp * ov + leak0 / v_thermal``), kept if then
+    ``|f| <= _SOLVE_RTOL * u * g_m``.  If ``2 * lambda_ * ov < 1``, ``f`` is
+    convex and the start lies above the root, so the steps fall monotonically
+    inside ``(0, v_in]``.  Misses, pooled over the call, restart in
+    :func:`_bracketed_newton`, which stops each at its last ``u``: on that
+    test, a step that cannot move ``u`` or a closed bracket.  A block whose
+    plain phase raises (the caller's ``errstate``) restarts whole, to raise
+    there if beyond float range; so a cell's result depends only on its
+    inputs, unless a neighbour raised.
     """
     it = np.nditer([g_m, v_in, *_gate_terms(np.asarray(v_g, dtype=float), p),
                     None], flags=["external_loop", "buffered", "zerosize_ok"],
                    op_flags=[["readonly"]] * 4 + [["writeonly", "allocate"]],
-                   buffersize=_SOLVE_BLOCK)
+                   order="C", buffersize=_SOLVE_BLOCK)
+    missed = []  # C-order positions, then the inputs, of cells to solve again
     with it:
         for g_m, v_in, leak0, ov_pos, u_out in it:
-            idx = np.arange(v_in.size)
-            g0 = p.kp * ov_pos + leak0 * (1.0 / p.v_thermal)
-            u, lo, hi = v_in * g0 / (g_m + g0), np.zeros_like(v_in), v_in
-            for _ in range(_SOLVE_MAX_ITERS):
-                i, di = _drain_current(leak0, ov_pos, v_in - u, p)
-                current = u * g_m
-                f = current - i
-                u_out[idx] = u  # converged cells then leave the active arrays
-                lo, hi = np.where(f < 0.0, u, lo), np.where(f > 0.0, u, hi)
-                newton = u - f / (g_m + di)
-                active = np.abs(f) > _SOLVE_RTOL * current
-                stray = active & ((newton <= lo) | (newton >= hi))
-                if stray.any():  # bisect, unless u cannot move or lo, hi meet
-                    mid = 0.5 * (lo + hi)
-                    active &= ~stray | ((newton != u) & (lo < mid)
-                                        & (mid < hi))
-                    newton = np.where(stray, mid, newton)
-                u = newton
-                if not active.all():
-                    keep = np.flatnonzero(active)
-                    if not keep.size:
-                        break
-                    idx, g_m, v_in, leak0, ov_pos, u, lo, hi = (
-                        a.take(keep) for a in (idx, g_m, v_in, leak0, ov_pos,
-                                               u, lo, hi))
+            try:
+                g0 = p.kp * ov_pos + leak0 * (1.0 / p.v_thermal)
+                u = v_in * g0 / (g_m + g0)
+                for _ in range(_PLAIN_STEPS):
+                    i, di = _drain_current(leak0, ov_pos, v_in - u, p)
+                    u = u - (u * g_m - i) / (g_m + di)
+                f = u * g_m - _drain_current(leak0, ov_pos, v_in - u, p, False)
+                miss = np.flatnonzero(np.abs(f) > _SOLVE_RTOL * (u * g_m))
+                u_out[...] = u
+            except FloatingPointError:
+                miss = np.arange(v_in.size)
+            if miss.size:
+                missed.append([it.iterindex + miss] + [
+                    a.take(miss) for a in (g_m, v_in, leak0, ov_pos)])
+        if missed:
+            pooled = [np.concatenate(a) for a in zip(*missed)]
+            for b in range(0, pooled[0].size, _SOLVE_BLOCK):
+                at, *cells = (a[b:b + _SOLVE_BLOCK] for a in pooled)
+                np.put(it.operands[4], at, _bracketed_newton(*cells, p))
         return it.operands[4]
 
 

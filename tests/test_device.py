@@ -133,15 +133,20 @@ def _bisect_current(g_m, v_in, v_g, t):
 def test_solve_matches_bisection_reference(device, stressed):
     # Gate voltages far below and above threshold (0.3 V leaves the stressed
     # device deep in subthreshold), g_off..g_on, read voltages down to
-    # V_EPSILON, and a transistor without subthreshold current.
+    # V_EPSILON, and a transistor without subthreshold current.  With no
+    # plain Newton steps every cell that misses the test at its start takes
+    # the bracketed loop.
     t_default, mem = device
     t_stressed, _ = stressed
-    for t in (t_default, t_stressed, replace(t_default, i0_sub=0.0)):
+    plain = device_module._PLAIN_STEPS
+    for t, steps in ((t_default, plain), (t_stressed, plain),
+                     (replace(t_default, i0_sub=0.0), plain), (t_default, 0)):
         g_m = np.geomspace(mem.g_off, mem.g_on, 5)[:, None, None]
         v_in = np.array([V_EPSILON, 1e-4, 1e-2, 0.1, 0.5])[None, :, None]
         v_g = np.array([0.0, 0.3, t.vth - 0.3, t.vth - 0.05, t.vth,
                         t.vth + 0.05, t.vth + 0.6, 1.2])[None, None, :]
-        current, _, _ = solve_synapse_grid(g_m, v_in, v_g, t)
+        with mock.patch.object(device_module, "_PLAIN_STEPS", steps):
+            current, _, _ = solve_synapse_grid(g_m, v_in, v_g, t)
         reference = _bisect_current(g_m, v_in, v_g, t)
         assert np.all(np.abs(current - reference) <= 1e-12 * reference)
 
@@ -175,21 +180,31 @@ def test_solve_matches_bisection_on_random_devices(vth, kp, lambda_, n_sub,
     assert len(steps) < _SOLVE_MAX_ITERS
 
 
-def test_solve_is_independent_of_block_neighbours(device):
-    # Each cell stops on its own test, so a cell's operating point must not
-    # depend on the cells that share its call or its solver block.
-    t, mem = device
-    rng = np.random.default_rng(5)
-    ranges = ((mem.g_off, mem.g_on), (1e-3, 0.5), (0.0, 1.2))
-    cells = [rng.uniform(lo, hi, 4) for lo, hi in ranges]
-    alone = solve_synapse_grid(*cells, t)
-    crowd = [rng.uniform(lo, hi, 3 * _SOLVE_BLOCK) for lo, hi in ranges]
-    at = _SOLVE_BLOCK + np.array([-2, -1, 0, 1])  # across a block boundary
-    for big, small in zip(crowd, cells):
-        big[at] = small
-    together = solve_synapse_grid(*crowd, t)
-    for a, b in zip(alone, together):
-        assert np.array_equal(a, b[at])
+def test_solve_is_independent_of_block_neighbours(device, stressed):
+    # Every cell takes the same plain Newton steps and a cell that misses the
+    # residual test stops on its own in the bracketed loop, so a cell's
+    # operating point must not depend on the cells that share its call or its
+    # solver block.  The crowd's gate voltages span the range, straddle the
+    # threshold, sit 50-200 mV above it (16-34% of the crowd takes the
+    # bracketed loop) or lie at 0.8-1.0 V (at most 1%); lambda_ = 3 makes f
+    # non-convex above threshold.
+    t_default, mem_default = device
+    lambda3 = (replace(t_default, lambda_=3.0), mem_default)
+    for t, mem in (device, stressed, lambda3):
+        for v_g_range in ((0.0, 1.2), (t.vth - 0.02, t.vth + 0.02),
+                          (t.vth + 0.05, t.vth + 0.2), (0.8, 1.0)):
+            rng = np.random.default_rng(5)
+            ranges = ((mem.g_off, mem.g_on), (1e-3, 0.5), (0.0, 1.2))
+            cells = [rng.uniform(lo, hi, 4) for lo, hi in ranges]
+            alone = solve_synapse_grid(*cells, t)
+            crowd = [rng.uniform(lo, hi, 3 * _SOLVE_BLOCK)
+                     for lo, hi in ranges[:2] + (v_g_range,)]
+            at = _SOLVE_BLOCK + np.array([-2, -1, 0, 1])  # a block boundary
+            for big, small in zip(crowd, cells):
+                big[at] = small
+            together = solve_synapse_grid(*crowd, t)
+            for a, b in zip(alone, together):
+                assert np.array_equal(a, b[at])
 
 
 def test_geff_at_zero_input_is_secant_limit(device):
@@ -236,6 +251,9 @@ def test_solve_rejects_bad_operating_points(device):
         solve_synapse_grid(1e-5, -0.1, 0.9, t)
     with pytest.raises(DomainError):
         solve_synapse_grid(1e-5, 0.3, np.inf, t)
+    # finite, but beyond float range inside the solve
+    with pytest.raises(DomainError, match="^cell solve failed"):
+        solve_synapse_grid(2e-5, 1e308, 0.8, t)
 
 
 def test_attenuation_grows_with_conductance(device):

@@ -6,13 +6,19 @@ OUT directories to compare every artifact, manifests included.
 
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from onetr import default_device, save_device_file  # noqa: E402
 from onetr.cli import main  # noqa: E402
 
 BASE, NEAT = "base/checkpoint.json", "neat/neat_checkpoint.json"
 IDEAL, STRESSED = ["--device-mode", "ideal_switch"], ["--device", "stressed"]
+# the default device with lambda = 3, written into OUT: above threshold,
+# 2 * lambda * overdrive > 1 makes the cell equation non-convex; with a 1 V
+# supply, cells there miss the plain Newton steps' residual test
+LAMBDA3 = ["--device", "lambda3.json"]
 CELL = ["characterize", "--gm", "2e-5", "--vg", "0.8"]
 # gate voltages on both sides of threshold, a non-default tm and supply
 WIDE_CUTOFF = ["cutoff", "--vg", "0.0:1.3:0.01", "--tm", "0.005", "--vsupply",
@@ -52,6 +58,12 @@ RUNS = [
     # a read power beyond float range: refused, only the manifest written
     (4, "power_overflow", ["power-mc", "--rows", "1", "--cols", "1",
                            "--samples", "1", "--vg", "1e200"]),
+    (0, "cutoff_lambda3", ["cutoff", *LAMBDA3, "--vg", "0.0:1.3:0.05",
+                           "--vsupply", "1.0"]),
+    (0, "cell_lambda3", ["characterize", *LAMBDA3, "--gm", "2e-5", "--vg",
+                         "1.2"]),
+    (0, "power_lambda3", ["power-mc", *LAMBDA3, "--samples", "20", "--vg",
+                          "0.8,1.2"]),
     (0, "sched_step_down", ["search-vg", "--checkpoint", BASE, "--step-down"]),
     # the homogeneous builder, stepped down, and NEAT at its schedule
     (0, "sched_homogeneous_step_down", ["search-vg", "--checkpoint", BASE,
@@ -87,6 +99,8 @@ if __name__ == "__main__":
         sys.exit("usage: python tools/cli_battery.py OUT")
     os.makedirs(sys.argv[1], exist_ok=True)
     os.chdir(sys.argv[1])
+    t, mem = default_device()
+    save_device_file("lambda3.json", replace(t, lambda_=3.0), mem)
     failed = 0
     for want, out, argv in RUNS:
         if (got := main(argv + ["--out", out])) != want:
