@@ -69,6 +69,8 @@ def parse_vg_values(text: str):
             if len(parts) != 3:
                 raise ValueError("expected start:stop:step")
             start, stop, step = (float(p) for p in parts)
+            if not np.isfinite([start, stop, step]).all():
+                raise ValueError("start, stop and step must be finite")
             if step <= 0:
                 raise ValueError("step must be positive")
             if stop < start - GRID_ATOL:
@@ -83,6 +85,8 @@ def parse_vg_values(text: str):
         values = [float(p) for p in text.split(",") if p.strip()]
         if not values:
             raise ValueError("empty list")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
         return values
     except ValueError as exc:
         raise CliError(2, f"invalid gate-voltage spec {text!r}: {exc}") from exc

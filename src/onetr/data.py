@@ -34,14 +34,6 @@ class Dataset:
     x_test: np.ndarray
     y_test: np.ndarray
 
-    @property
-    def n_features(self) -> int:
-        return self.x_train.shape[1]
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.y_train.max()) + 1
-
 
 def make_blobs(seed: int = _DATA_SEED) -> Dataset:
     """Gaussian blobs with per-feature scales spanning two decades."""

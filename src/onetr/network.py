@@ -148,6 +148,7 @@ class Model:
                     for i in range(len(dims) - 1)])
 
     def dense_layers(self):
+        """``layers``, kept for ``perfbench/`` and tests (ROADMAP item 1a)."""
         return self.layers
 
     @property
@@ -165,23 +166,12 @@ class Model:
             outs.append(out)
         return outs
 
-    def forward(self, x):
-        """Logits as a new array."""
-        return self.activations(x)[-1]
-
-    def predict(self, x):
-        return np.argmax(self.forward(x), axis=1)
-
     def loss_and_gradients(self, x, y):
         """Mean cross-entropy on ``(x, y)``; gradients land in ``flat_grads``."""
         x = np.asarray(x, dtype=float)
         labels = np.ravel_multi_index((np.arange(len(x)), y),
                                       (len(x), self.dims[-1]))
         return _Workspace(self, len(x)).loss_and_gradients(x, labels)
-
-    def copy(self) -> "Model":
-        # Model() packs fresh buffers, so the layers need not copy.
-        return Model([Dense(l.w, l.b) for l in self.layers])
 
     def to_dict(self) -> dict:
         return {
@@ -290,4 +280,5 @@ def train(model: Model, x, y, config: TrainConfig, rng=None,
 
 def accuracy(model: Model, x, y) -> float:
     """Top-1 accuracy of the software forward pass."""
-    return float(np.mean(model.predict(x) == np.asarray(y)))
+    return float(np.mean(np.argmax(model.activations(x)[-1], axis=1)
+                         == np.asarray(y)))

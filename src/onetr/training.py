@@ -115,7 +115,7 @@ def _grid_index(grid, v_g: float) -> int:
 
 def layer_scales(model: Model, mem: MemristorParams):
     """Every dense layer's LayerScale, whose ``w_r`` anchors its mapping."""
-    return [layer_scale(layer.w, mem) for layer in model.dense_layers()]
+    return [layer_scale(layer.w, mem) for layer in model.layers]
 
 
 def _entry(layer: int, spec, w_r: float, flag: str = FLAG_NONE):
@@ -183,7 +183,7 @@ def step_down_schedule(schedule: VgSchedule, table,
 
 
 def _check_alignment(model: Model, schedule: VgSchedule):
-    dense = model.dense_layers()
+    dense = model.layers
     if len(dense) != len(schedule.entries):
         raise DomainError(
             f"schedule has {len(schedule.entries)} entries for "
@@ -219,6 +219,8 @@ def iterative_train(model: Model, schedule: VgSchedule, x, y,
     training step.
     """
     _check_alignment(model, schedule)
+    if (eval_x is None) != (eval_y is None):
+        raise DomainError("give both eval_x and eval_y, or neither")
     if eval_x is None:
         eval_x, eval_y = x, y
     rng = np.random.default_rng(config.seed)
@@ -275,7 +277,7 @@ def crossbar_forward(model: Model, x, schedule: VgSchedule,
     tilesets = program_model(model, schedule, mem, calib_x)
     acts = np.asarray(x, dtype=float)
     per_layer = None if pulse_width is None else []
-    for i, (ts, layer) in enumerate(zip(tilesets, model.dense_layers())):
+    for i, (ts, layer) in enumerate(zip(tilesets, model.layers)):
         r = mvm_nonideal_batch(ts, acts, t, mode, v_supply, pulse_width, c_gate)
         if per_layer is not None:
             per_layer.append(float(np.sum(r.energy)))

@@ -13,6 +13,7 @@ from onetr import (Model, TrainConfig, cutoff_table, default_device,
                    leakage_stressed_device, make_blobs,
                    search_heterogeneous_vg, train)
 from onetr.cli import DEFAULT_VG_GRID, parse_vg_values
+from onetr.data import N_CLASSES, N_FEATURES
 
 VG_GRID = tuple(parse_vg_values(DEFAULT_VG_GRID))
 
@@ -65,7 +66,7 @@ def table(device):
 
 @pytest.fixture(scope="session")
 def baseline_model(blobs):
-    model = Model.new([blobs.n_features, 32, blobs.n_classes], seed=0)
+    model = Model.new([N_FEATURES, 32, N_CLASSES], seed=0)
     train(model, blobs.x_train, blobs.y_train, TrainConfig(seed=0))
     return model
 

@@ -21,6 +21,7 @@ from onetr import (IDEAL_SWITCH, Model, TrainConfig, WcutSpec, accuracy,
                    search_heterogeneous_vg, solve_synapse_grid, train,
                    transistor_current)
 from onetr.cli import main as cli_main
+from onetr.data import N_CLASSES, N_FEATURES
 from onetr.mapping import layer_scale
 from onetr.training import FLAG_FIRST_COVERS, FLAG_NO_COVERAGE, FLAG_NONE
 
@@ -180,8 +181,8 @@ def test_06_retrain_recovers_clipped_network(device, table, blobs,
         t, mem = device
 
         # (a) searched schedule: most weights end up inside the window
-        model, _ = iterative_train(baseline_model.copy(), het_schedule,
-                                   blobs.x_train, blobs.y_train,
+        model, _ = iterative_train(Model.from_dict(baseline_model.to_dict()),
+                                   het_schedule, blobs.x_train, blobs.y_train,
                                    TrainConfig(learning_rate=1e-5, epochs=0,
                                                seed=0))
         _, overall = linear_fraction(model, het_schedule)
@@ -190,14 +191,13 @@ def test_06_retrain_recovers_clipped_network(device, table, blobs,
         # (b) aggressive low-voltage schedule: retraining must beat clipping
         clip_accs, neat_accs = [], []
         for seed in range(5):
-            base = Model.new([blobs.n_features, 32, blobs.n_classes],
-                             seed=seed)
+            base = Model.new([N_FEATURES, 32, N_CLASSES], seed=seed)
             train(base, blobs.x_train, blobs.y_train, TrainConfig(seed=seed))
             low = homogeneous_schedule(base, 0.70, table, mem)
             clip_accs.append(evaluate(base, blobs.x_test, blobs.y_test,
                                       low, t, mem, blobs.x_train))
-            retrained, _ = iterative_train(base.copy(), low, blobs.x_train,
-                                           blobs.y_train,
+            retrained, _ = iterative_train(Model.from_dict(base.to_dict()),
+                                           low, blobs.x_train, blobs.y_train,
                                            TrainConfig(learning_rate=1e-5,
                                                        epochs=0, seed=seed))
             neat_accs.append(evaluate(retrained, blobs.x_test, blobs.y_test,
@@ -210,7 +210,8 @@ def test_07_clip_only_drop_is_small(blobs, baseline_model, het_schedule):
     with acceptance("07 clip-only drop at searched voltages"):
         start = time.monotonic()
         base_acc = accuracy(baseline_model, blobs.x_test, blobs.y_test)
-        clipped = clip_model(baseline_model.copy(), het_schedule)
+        clipped = clip_model(Model.from_dict(baseline_model.to_dict()),
+                             het_schedule)
         clip_acc = accuracy(clipped, blobs.x_test, blobs.y_test)
         assert base_acc - clip_acc <= 0.02 + 1e-12
         assert time.monotonic() - start < 60.0

@@ -52,8 +52,10 @@ def test_parse_vg_values_forms():
         [0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0])
     assert parse_vg_values("0.8,1.0") == [0.8, 1.0]
     assert len(parse_vg_values(f"0:{MAX_VG_POINTS - 1}:1")) == MAX_VG_POINTS
-    with pytest.raises(CliError):
-        parse_vg_values(f"0:{MAX_VG_POINTS}:1")
+    for bad in (f"0:{MAX_VG_POINTS}:1", "nan:1:0.1", "0.7:1:nan", "0.7:1:inf",
+                "0.7:nan:0.1", "inf:inf:1", "0.8,nan", "inf,0.8"):
+        with pytest.raises(CliError, match="invalid gate-voltage spec"):
+            parse_vg_values(bad)
 
 
 def test_cutoff_artifacts_and_reruns_are_identical(tmp_path):
@@ -255,8 +257,12 @@ def test_usage_errors_precede_file_reads(tmp_path, capsys):
             ["neat", *missing, "--schedule", schedule, "--vg", "0.8"],
             ["search-vg", *missing, "--vg-grid", "abc"],
             ["neat", *missing, "--vg-grid", "abc"],
+            ["search-vg", *missing, "--vg-grid", "0.7:1:nan"],
             ["cutoff", *device, "--vg", "abc"],
-            ["power-mc", *device, "--vg", "abc"]]
+            ["cutoff", *device, "--vg", "nan:1:0.1"],
+            ["cutoff", *device, "--vg", "0.8,nan"],
+            ["power-mc", *device, "--vg", "abc"],
+            ["power-mc", *device, "--vg", "0.7:1:inf"]]
     for i, argv in enumerate(runs):
         out = tmp_path / f"run{i}"
         capsys.readouterr()

@@ -7,6 +7,7 @@ from onetr import (Adam, Dense, DomainError, Model, TrainConfig,
                    TrainingDivergedError, accuracy, clip_model,
                    load_checkpoint, save_checkpoint, train)
 from onetr.cli import build_parser
+from onetr.data import N_CLASSES, N_FEATURES
 from onetr.network import _softmax_cross_entropy_, _Workspace
 from onetr.training import ScheduleEntry, VgSchedule
 
@@ -49,8 +50,8 @@ def test_relu_masks_gradient():
                    Dense(np.eye(3), np.zeros(3))])
     first, second = model.dense_layers()
     x = np.array([[-1.0, 0.0, 2.0]])
-    assert np.array_equal(model.forward(x), [[0.0, 0.0, 2.0]])
-    assert np.array_equal(model.activations(x)[1], [[0.0, 0.0, 2.0]])
+    for out in model.activations(x)[1:]:  # the hidden layer, the logits
+        assert np.array_equal(out, [[0.0, 0.0, 2.0]])
     model.loss_and_gradients(x, np.array([1]))
     # The hidden gradient is the logits' gradient (second.db) masked.
     assert np.all(second.db != 0.0)
@@ -78,17 +79,11 @@ def test_model_shapes_and_prediction():
     assert model.dims == [4, 8, 3]
     assert len(model.dense_layers()) == 2
     x = np.random.default_rng(1).normal(size=(6, 4))
-    logits = model.forward(x)
+    logits = model.activations(x)[-1]
     assert logits.shape == (6, 3)
-    assert np.array_equal(model.predict(x), np.argmax(logits, axis=1))
-
-
-def test_model_copy_is_independent():
-    model = Model.new([3, 4, 2], seed=2)
-    clone = model.copy()
-    clone.dense_layers()[0].w[:] = 0.0
-    assert not np.array_equal(model.dense_layers()[0].w,
-                              clone.dense_layers()[0].w)
+    labels = np.array([0, 1, 2, 0, 1, 2])
+    assert accuracy(model, x, labels) == np.mean(np.argmax(logits, axis=1)
+                                                 == labels)
 
 
 def test_model_dict_round_trip():
@@ -121,7 +116,7 @@ def test_training_is_deterministic(blobs):
     cfg = TrainConfig(epochs=2, seed=9)
     runs = []
     for _ in range(2):
-        model = Model.new([blobs.n_features, 8, blobs.n_classes], seed=9)
+        model = Model.new([N_FEATURES, 8, N_CLASSES], seed=9)
         train(model, blobs.x_train[:200], blobs.y_train[:200], cfg)
         runs.append([l.w.copy() for l in model.dense_layers()])
     for a, b in zip(*runs):
@@ -134,12 +129,12 @@ def test_shared_rng_advances_between_rounds(blobs):
     cfg = TrainConfig(epochs=1, seed=9)
     x, y = blobs.x_train[:200], blobs.y_train[:200]
 
-    shared = Model.new([blobs.n_features, 8, blobs.n_classes], seed=9)
+    shared = Model.new([N_FEATURES, 8, N_CLASSES], seed=9)
     rng = np.random.default_rng(9)
     train(shared, x, y, cfg, rng=rng)
     train(shared, x, y, cfg, rng=rng)
 
-    restarted = Model.new([blobs.n_features, 8, blobs.n_classes], seed=9)
+    restarted = Model.new([N_FEATURES, 8, N_CLASSES], seed=9)
     train(restarted, x, y, cfg)
     train(restarted, x, y, cfg)
 
@@ -150,7 +145,7 @@ def test_shared_rng_advances_between_rounds(blobs):
 
 def test_epoch_override_controls_duration(blobs):
     cfg = TrainConfig(epochs=40, seed=1)
-    model = Model.new([blobs.n_features, 4, blobs.n_classes], seed=1)
+    model = Model.new([N_FEATURES, 4, N_CLASSES], seed=1)
     before = [l.w.copy() for l in model.dense_layers()]
     train(model, blobs.x_train[:100], blobs.y_train[:100], cfg, epochs=0)
     for w0, layer in zip(before, model.dense_layers()):
@@ -158,7 +153,7 @@ def test_epoch_override_controls_duration(blobs):
 
 
 def test_divergence_is_reported(blobs):
-    model = Model.new([blobs.n_features, 4, blobs.n_classes], seed=0)
+    model = Model.new([N_FEATURES, 4, N_CLASSES], seed=0)
     model.dense_layers()[0].w[:] = np.nan
     with pytest.raises(TrainingDivergedError):
         train(model, blobs.x_train[:64], blobs.y_train[:64],
@@ -169,9 +164,9 @@ def test_train_rejects_labels_outside_the_output(blobs):
     # A label indexes its row of the logits; one outside [0, classes)
     # would read a neighbouring row's logit.
     x, y = blobs.x_train[:40], blobs.y_train[:40].copy()
-    model = Model.new([blobs.n_features, 4, blobs.n_classes], seed=0)
+    model = Model.new([N_FEATURES, 4, N_CLASSES], seed=0)
     before = model.flat_params.copy()
-    for bad in (-1, blobs.n_classes):
+    for bad in (-1, N_CLASSES):
         y[5] = bad
         with pytest.raises(DomainError):
             train(model, x, y, TrainConfig(epochs=1))
@@ -259,7 +254,7 @@ def test_training_matches_per_parameter_reference(blobs, dims, batch_size):
     # The flat-buffer step must reproduce the per-parameter loop bit for
     # bit, over two rounds sharing one generator (as clip-and-retrain does).
     x, y = blobs.x_train[:200], blobs.y_train[:200]
-    assert (x.shape[1], blobs.n_classes) == (dims[0], dims[-1])
+    assert (x.shape[1], N_CLASSES) == (dims[0], dims[-1])
     cfg = TrainConfig(learning_rate=1e-2, batch_size=batch_size, seed=4)
     model = Model.new(dims, seed=4)
     layers = [(l.w.copy(), l.b.copy()) for l in model.dense_layers()]
@@ -296,13 +291,12 @@ def test_forward_outputs_survive_training(blobs):
     model = Model.new([16, 8, 3], seed=1)
     x = blobs.x_train[:32]
     *inputs, logits = model.activations(x)
-    assert np.array_equal(model.forward(x), logits)
     kept = [(out, out.copy()) for out in (logits, *inputs)]
     train(model, blobs.x_train[:64], blobs.y_train[:64],
           TrainConfig(learning_rate=1e-2, epochs=1))
     for out, copy in kept:
         assert np.array_equal(out, copy)
-    assert not np.array_equal(model.forward(x), logits)
+    assert not np.array_equal(model.activations(x)[-1], logits)
 
 
 def test_loss_and_gradients_match_the_copying_step(blobs):
@@ -339,7 +333,7 @@ def _grads(model):
 def test_flat_buffers_back_every_layer(tmp_path):
     model = Model.new([6, 5, 4, 3], seed=2)
     save_checkpoint(tmp_path / "ckpt.json", model)
-    for m in (model, model.copy(), Model.from_dict(model.to_dict()),
+    for m in (model, Model.from_dict(model.to_dict()),
               load_checkpoint(tmp_path / "ckpt.json").model):
         assert m.flat_params.shape == m.flat_grads.shape == (
             sum(p.size for p in _params(m)),)
@@ -349,7 +343,8 @@ def test_flat_buffers_back_every_layer(tmp_path):
                 assert np.shares_memory(p, buf)
         assert np.array_equal(
             m.flat_params, np.concatenate([p.ravel() for p in _params(m)]))
-        assert not np.shares_memory(m.flat_params, model.copy().flat_params)
+        assert m is model or not np.shares_memory(m.flat_params,
+                                                  model.flat_params)
     # Clipping in place must reach the buffer the optimizer updates.
     entries = tuple(ScheduleEntry(i, 0.8, 0.05, 1.0, None) for i in range(3))
     clip_model(model, VgSchedule("homogeneous", (0.8,), entries))

@@ -124,7 +124,7 @@ def test_loader_rejects_an_entry_off_its_grid():
 
 
 def test_clip_model_enforces_schedule(baseline_model, het_schedule):
-    model = baseline_model.copy()
+    model = Model.from_dict(baseline_model.to_dict())
     clip_model(model, het_schedule)
     for layer, e in zip(model.dense_layers(), het_schedule.entries):
         assert np.max(np.abs(layer.w)) <= e.w_cut
@@ -144,16 +144,29 @@ def test_iterative_train_history_and_determinism(baseline_model, het_schedule,
     cfg = TrainConfig(learning_rate=1e-5, epochs=0, seed=0, n_iterations=3)
     runs = []
     for _ in range(2):
-        model, history = iterative_train(baseline_model.copy(), het_schedule,
-                                         blobs.x_train, blobs.y_train, cfg,
-                                         eval_x=blobs.x_test,
-                                         eval_y=blobs.y_test)
+        model, history = iterative_train(
+            Model.from_dict(baseline_model.to_dict()), het_schedule,
+            blobs.x_train, blobs.y_train, cfg, eval_x=blobs.x_test,
+            eval_y=blobs.y_test)
         assert [h["iteration"] for h in history] == [1, 2, 3]
         assert all(0.0 <= h["accuracy"] <= 1.0 for h in history)
         assert all(0.0 <= h["linear_fraction"] <= 1.0 for h in history)
         runs.append(model)
     for a, b in zip(runs[0].dense_layers(), runs[1].dense_layers()):
         assert np.array_equal(a.w, b.w)
+
+
+def test_iterative_train_refuses_a_one_sided_eval_split(baseline_model,
+                                                        het_schedule, blobs):
+    # eval_x alone would score every round against None (accuracy 0.0),
+    # and eval_y alone would score the training split.
+    cfg = TrainConfig(learning_rate=1e-5, epochs=0, seed=0, n_iterations=1)
+    for one_sided in ({"eval_x": blobs.x_test}, {"eval_y": blobs.y_test}):
+        model = Model.from_dict(baseline_model.to_dict())
+        with pytest.raises(DomainError, match="both eval_x and eval_y"):
+            iterative_train(model, het_schedule, blobs.x_train,
+                            blobs.y_train, cfg, **one_sided)
+        assert np.array_equal(model.flat_params, baseline_model.flat_params)
 
 
 def test_program_model_builds_one_tileset_per_layer(baseline_model,

@@ -28,7 +28,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 from onetr.characterize import (  # noqa: E402
     DEFAULT_TM_THRESHOLD, DEFAULT_V_SUPPLY, cutoff_table, default_vin_grid,
-    find_gm_cutoff, linear_vin_range, sweep_geff)
+    linear_vin_range, sweep_geff)
 from onetr.cli import DEFAULT_VG_GRID, parse_vg_values  # noqa: E402
 from onetr.device import (IDEAL_SWITCH, MemristorParams,  # noqa: E402
                           TransistorParams, save_device_file)
@@ -89,7 +89,7 @@ def calibrate_default(mem: MemristorParams):
 
 
 def check_stressed(t: TransistorParams, mem: MemristorParams) -> None:
-    if find_gm_cutoff(1.3, t, mem) is not None:
+    if cutoff_table([1.3], t, mem).lookup(1.3) is not None:
         raise RuntimeError("stressed set unexpectedly has a cutoff at 1.3 V")
     window = linear_vin_range(sweep_geff(1e-5, 1.3, t))
     grid = default_vin_grid()

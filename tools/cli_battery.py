@@ -45,6 +45,7 @@ RUNS = [
     (0, "cutoff_wide", WIDE_CUTOFF),
     (0, "cutoff_wide_stressed", WIDE_CUTOFF + STRESSED),
     (2, "cutoff_bad_spec", ["cutoff", "--vg", "abc"]),
+    (2, "cutoff_nonfinite_spec", ["cutoff", "--vg", "0.7:1.0:nan"]),
     (0, "power", ["power-mc", "--samples", "20"]),
     (0, "power_stressed_ideal", ["power-mc", "--samples", "20", *STRESSED,
                                  *IDEAL]),
