@@ -180,14 +180,15 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
 
     Each slice fills a whole (batch, rows, 2*cols) current array: in closed
     form for the ideal switch; for the analytical model, by solving, for each
-    (sample, row) read at a nonzero voltage, its cells off ``g_off`` and one
-    ``g_off`` cell that every resting cell of the row shares.  The currents
-    equal those of solving every cell (see the module docstring).  A slice
-    keeps only its column currents and, if ``pulse_width`` is given, each
-    sample's resistive sum: every row driver is billed ``v_r * sum_c I_rc``
-    once.  Pulse width and gate charge are applied once, after the slices.
-    The slice bound counts the layer's cells, and every sum runs per sample,
-    so results do not depend on the slicing.
+    (sample, row) read at a nonzero voltage, its cells off ``g_off``, listed
+    once per call and reached by flat index, and one ``g_off`` cell that every
+    resting cell of the row shares.  The currents equal those of solving every
+    cell (see the module docstring).  A slice keeps only its column currents
+    and, if ``pulse_width`` is given, each sample's resistive sum: every row
+    driver is billed ``v_r * sum_c I_rc`` once.  Pulse width and gate charge
+    are applied once, after the slices.  The slice bound counts the layer's
+    cells, and every sum runs per sample, so results do not depend on the
+    slicing.
     """
     if pulse_width is not None and not (0 < pulse_width < np.inf
                                         and 0 <= c_gate < np.inf):  # NaN too
@@ -198,6 +199,8 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     g_off = ts.scale.g_off
     live = g_all != g_off  # the cells a row's g_off solve cannot stand for
     n_live = np.count_nonzero(live, axis=1)
+    live_c, g_live = np.nonzero(live)[1], g_all[live]  # row-major
+    first = np.cumsum(n_live) - n_live  # each row's first live index
     col_current, resistive = [], []
     for batch in _block_plan(v.shape[0], 2 * rows * cols):
         vs = v[batch]
@@ -206,15 +209,18 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
                        else np.zeros((vs.shape[0], rows, 2 * cols)))
         else:
             read = vs > 0.0
-            cells = read[:, :, None] & live
-            g_m = np.broadcast_to(g_all, cells.shape)[cells]
-            v_in = np.repeat(vs[read], np.broadcast_to(n_live, vs.shape)[read])
+            s_r, r_r = np.nonzero(read)
+            n = n_live[r_r]  # the live cells of each read (sample, row)
+            j = np.repeat(first[r_r] + n - np.cumsum(n), n)
+            j += np.arange(j.size)  # the ragged index into g_live
+            g_m, v_r = g_live[j], vs[read]
             i = solve_synapse_grid(
-                np.append(g_m, np.full(np.count_nonzero(read), g_off)),
-                np.append(v_in, vs[read]), ts.v_g, t, mode)[0]
-            current = np.zeros(cells.shape)
+                np.append(g_m, np.full(r_r.size, g_off)),
+                np.append(np.repeat(v_r, n), v_r), ts.v_g, t, mode)[0]
+            current = np.zeros((vs.shape[0], rows, 2 * cols))
             current[read] = i[g_m.size:, None]  # the row's g_off current
-            current[cells] = i[:g_m.size]
+            pos = np.repeat((s_r * rows + r_r) * (2 * cols), n) + live_c[j]
+            current.reshape(-1)[pos] = i[:g_m.size]
         col_current.append(current.sum(axis=1))  # fixed global row order
         if pulse_width is not None:  # each row driver: v_r * sum_c I_rc
             with np.errstate(over="ignore"):  # checked once, below

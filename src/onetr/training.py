@@ -238,6 +238,25 @@ def iterative_train(model: Model, schedule: VgSchedule, x, y,
     return model, history
 
 
+def _activation_ceiling(inputs) -> float:
+    """``np.percentile(inputs, DEFAULT_PERCENTILE)``, partitioning only the
+    values at or above ``floor``, the least maximum of ``n - k`` blocks: at
+    least ``n - k`` values reach it, so ranks ``k`` and ``k + 1`` do."""
+    flat = np.ravel(inputs)
+    n = flat.size
+    if np.isnan(flat).any():  # NaN sorts last, where np.percentile reads it
+        return float("nan")
+    at = (n - 1) * (DEFAULT_PERCENTILE / 100)
+    k = int(at)
+    width = n // (n - k)  # the blocks leave a tail of under ``width`` values
+    floor = flat[:(n - k) * width].reshape(-1, width).max(axis=1).min()
+    top = flat[flat >= floor]
+    i, j = k - (n - top.size), min(k + 1, n - 1) - (n - top.size)
+    lo, hi = np.partition(top, (i, j))[[i, j]]
+    g = at - k if k + 1 < n else 1.0  # at n = 1, numpy's gamma is 1
+    return float(lo + (hi - lo) * g if g < 0.5 else hi - (hi - lo) * (1 - g))
+
+
 def program_model(model: Model, schedule: VgSchedule, mem: MemristorParams,
                   calib_x):
     """Programs every dense layer onto crossbar tiles.
@@ -253,7 +272,7 @@ def program_model(model: Model, schedule: VgSchedule, mem: MemristorParams,
     tilesets = []
     for layer, e, inputs in zip(dense, schedule.entries,
                                 model.activations(calib_x)):
-        a_max = float(np.percentile(inputs, DEFAULT_PERCENTILE))
+        a_max = _activation_ceiling(inputs)
         if a_max <= 0 or not np.isfinite(a_max):
             raise DomainError(
                 f"layer {e.layer}: calibration activations give "

@@ -203,6 +203,7 @@ def test_forward_equals_every_cell_solved(monkeypatch, request, mode, which):
     rng = np.random.default_rng(12)
     w = rng.normal(size=(23, 11))
     w[:, [2, 7]] = 0.0  # both sides of these pairs rest at g_off
+    w[4] = 0.0  # a row with no live cell: empty in the ragged index
     scale = scale_from_range(float(np.max(np.abs(w))), mem)
     ts = program(w, WcutSpec(0.8, 0.6 * scale.w_r, None), scale, a_max=1.5,
                  tile_rows=5, tile_cols=3)

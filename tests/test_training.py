@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, Model, TrainConfig,
                    WcutSpec, clip_model, crossbar_forward, cutoff_table,
@@ -12,7 +13,8 @@ from onetr import (ANALYTICAL, IDEAL_SWITCH, DomainError, Model, TrainConfig,
                    mvm_nonideal_batch, network_energy, program_model,
                    save_checkpoint, schedule_from_dict, schedule_to_dict,
                    search_heterogeneous_vg, step_down_schedule)
-from onetr.training import FLAG_FIRST_COVERS, FLAG_NO_COVERAGE, VgSchedule
+from onetr.training import (DEFAULT_PERCENTILE, FLAG_FIRST_COVERS,
+                            FLAG_NO_COVERAGE, VgSchedule, _activation_ceiling)
 
 
 def test_search_assigns_one_step_below_coverage(baseline_model, table,
@@ -182,6 +184,55 @@ def test_program_model_builds_one_tileset_per_layer(baseline_model,
         assert ts.a_max > 0.0
     with pytest.raises(DomainError):
         program_model(baseline_model, het_schedule, mem, blobs.x_train[0])
+
+
+@st.composite
+def calibration_inputs(draw):
+    """Activation-like arrays: heavy ties, zeros of both signs, ReLU zeros,
+    negatives, infinities, at most one NaN, in drawn or sorted order."""
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(draw(st.floats(-2.0, 2.0)), 1.0, n)
+    if draw(st.booleans()):
+        a = np.round(a, draw(st.integers(0, 2)))  # heavy ties
+    if draw(st.booleans()):
+        a *= a > 0.0  # ReLU: negatives become -0.0
+    for pair, shares in (((0.0, -0.0), [0.0, 0.001, 0.3, 0.9]),
+                         ((np.inf, -np.inf), [0.0, 0.0, 0.0, 0.0005, 0.002])):
+        for value in pair:
+            a[rng.random(n) < draw(st.sampled_from(shares))] = value
+    if draw(st.integers(0, 3)) == 0:
+        a[rng.integers(n)] = np.nan
+    order = draw(st.sampled_from(["drawn", "sorted", "reversed"]))
+    return {"drawn": a, "sorted": np.sort(a),
+            "reversed": np.sort(a)[::-1]}[order]
+
+
+@settings(max_examples=300)
+@given(calibration_inputs())
+def test_activation_ceiling_is_the_percentile(a):
+    # Equal as floats, so bit for bit, but for the sign of a zero ceiling:
+    # it follows where a partition leaves zeros of both signs, and
+    # program_model refuses a zero ceiling of either sign.
+    with np.errstate(invalid="ignore"):  # inf - inf at the ranks is NaN
+        got = _activation_ceiling(a)
+        want = np.percentile(a, DEFAULT_PERCENTILE)
+    assert got == want or (np.isnan(got) and np.isnan(want))
+
+
+def test_program_model_ceilings_are_the_calibration_percentile(
+        baseline_model, het_schedule, blobs, device):
+    _, mem = device
+    for calib in (blobs.x_train, blobs.x_train[:2], blobs.x_train[1:300]):
+        tilesets = program_model(baseline_model, het_schedule, mem, calib)
+        inputs = baseline_model.activations(calib)
+        for ts, layer_inputs in zip(tilesets, inputs):
+            want = np.percentile(layer_inputs, DEFAULT_PERCENTILE)
+            assert np.float64(ts.a_max).tobytes() == want.tobytes()
+    dead = Model.from_dict(baseline_model.to_dict())
+    dead.layers[0].b[:] = -1e6  # every hidden input is a ReLU zero
+    with pytest.raises(DomainError, match="layer 1: calibration activations"):
+        program_model(dead, het_schedule, mem, blobs.x_train)
 
 
 def test_evaluate_is_argmax_of_crossbar_logits(baseline_model, het_schedule,

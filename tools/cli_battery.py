@@ -10,7 +10,8 @@ from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
-from onetr import default_device, save_device_file  # noqa: E402
+from onetr import (default_device, make_blobs, save_device_file,  # noqa: E402
+                   write_dataset_csv)
 from onetr.cli import main  # noqa: E402
 
 BASE, NEAT = "base/checkpoint.json", "neat/neat_checkpoint.json"
@@ -93,6 +94,11 @@ RUNS = [
                          "20", *IDEAL]),
     (0, "report_stressed", ["report", "--checkpoint", BASE, "--max-samples",
                             "20", *STRESSED]),
+    # read voltages calibrated on a 2-row training split, written into OUT:
+    # each layer's 99.9th percentile is read among its 2 largest inputs
+    (0, "eval_calib2", ["eval", "--checkpoint", BASE, "--schedule",
+                        "sched/schedule.json", "--mode", "crossbar", "--data",
+                        "calib2.csv"]),
 ]
 
 if __name__ == "__main__":
@@ -102,6 +108,8 @@ if __name__ == "__main__":
     os.chdir(sys.argv[1])
     t, mem = default_device()
     save_device_file("lambda3.json", replace(t, lambda_=3.0), mem)
+    blobs = make_blobs()
+    write_dataset_csv("calib2.csv", blobs.x_train[:2], blobs.y_train[:2])
     failed = 0
     for want, out, argv in RUNS:
         if (got := main(argv + ["--out", out])) != want:
