@@ -143,18 +143,25 @@ def readout_gain(ts: CrossbarTileSet, t: TransistorParams,
 
     Secant of the effective-conductance transfer between ``g_off`` and the
     clip-level conductance, taken at full read voltage; an ideal switch
-    calibrates to exactly one.
+    calibrates to exactly one.  The read solves the pair with its own cells.
     """
+    pair, gain = _secant_gain(ts, v_supply)
+    return gain(solve_synapse_grid(*pair, ts.v_g, t, mode)[2])
+
+
+def _secant_gain(ts: CrossbarTileSet, v_supply: float):
+    """The readout gain's secant pair, rows ``g_m`` and ``v_in``: ``(g_cut,
+    g_off)`` at ``v_supply``, or none if the clip level rests at ``g_off``;
+    and the gain from the pair's ``g_eff``, one unless ``g_eff`` rises."""
     scale = ts.scale
     g_cut = min(scale.g_off + ts.w_cut * scale.s, scale.g_on)
     if g_cut <= scale.g_off * (1.0 + 1e-12):
-        return 1.0
-    pair = np.array([g_cut, scale.g_off])
-    _, _, g_eff = solve_synapse_grid(pair, v_supply, ts.v_g, t, mode)
-    span = g_eff[0] - g_eff[1]
-    if span <= 0.0:
-        return 1.0
-    return float((g_cut - scale.g_off) / span)
+        return np.empty((2, 0)), lambda g_eff: 1.0
+
+    def gain(g_eff):
+        span = g_eff[0] - g_eff[1]
+        return float((g_cut - scale.g_off) / span) if span > 0.0 else 1.0
+    return np.array([[g_cut, scale.g_off], [v_supply, v_supply]]), gain
 
 
 def _rescale(ts: CrossbarTileSet, i_plus, i_minus, gain, v_supply):
@@ -178,24 +185,25 @@ def mvm_ideal(ts: CrossbarTileSet, activations, v_supply: float = 0.5) -> MvmRes
 def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     """Cell currents of (batch, rows) read voltages, in batch slices.
 
-    Each slice fills a whole (batch, rows, 2*cols) current array: in closed
-    form for the ideal switch; for the analytical model, by solving, for each
-    (sample, row) read at a nonzero voltage, its cells off ``g_off``, listed
-    once per call and reached by flat index, and one ``g_off`` cell that every
-    resting cell of the row shares.  The currents equal those of solving every
-    cell (see the module docstring).  A slice keeps only its column currents
+    The ideal switch sums each slice's columns in closed form, and forms its
+    (batch, rows, 2*cols) currents only for the energy.  The analytical model
+    fills them by one solve per slice: for each (sample, row) read at a nonzero
+    voltage, its cells off ``g_off``, listed once per call and reached by flat
+    index, and one ``g_off`` cell for all the row's resting cells; the first
+    slice also solves the readout gain's pair.  The currents equal those of
+    solving every cell (module docstring).  A slice keeps its column currents
     and, if ``pulse_width`` is given, each sample's resistive sum: every row
-    driver is billed ``v_r * sum_c I_rc`` once.  Pulse width and gate charge
-    are applied once, after the slices.  The slice bound counts the layer's
-    cells, and every sum runs per sample, so results do not depend on the
-    slicing.
+    driver is billed ``v_r * sum_c I_rc`` once; pulse width and gate charge
+    apply after the slices.  The slice bound counts the layer's cells, and
+    every sum runs per sample, so no result depends on the slicing.
     """
     if pulse_width is not None and not (0 < pulse_width < np.inf
                                         and 0 <= c_gate < np.inf):  # NaN too
         raise DomainError("pulse_width must be > 0 and c_gate >= 0, finite")
     g_all = np.concatenate((ts.g_plus, ts.g_minus), axis=1)
     rows, cols = ts.shape
-    gain = readout_gain(ts, t, mode, v_supply)
+    pair, secant = _secant_gain(ts, v_supply)  # solved with the first slice
+    gain, on = 1.0, g_all if ts.v_g > t.vth else np.zeros_like(g_all)
     g_off = ts.scale.g_off
     live = g_all != g_off  # the cells a row's g_off solve cannot stand for
     n_live = np.count_nonzero(live, axis=1)
@@ -204,9 +212,11 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
     col_current, resistive = [], []
     for batch in _block_plan(v.shape[0], 2 * rows * cols):
         vs = v[batch]
-        if mode.variant == "ideal_switch":  # g_eff is g_m when on, else 0
-            current = (g_all * vs[:, :, None] if ts.v_g > t.vth
-                       else np.zeros((vs.shape[0], rows, 2 * cols)))
+        if mode.variant == "ideal_switch":  # g_eff is ``on``, the gain 1
+            # einsum multiplies, then adds in row order: the bits of the
+            # product's .sum(axis=1), unless a build fuses the multiply-add
+            col_current.append(np.einsum("br,rc->bc", vs, on))
+            current = on * vs[:, :, None] if pulse_width is not None else None
         else:
             read = vs > 0.0
             s_r, r_r = np.nonzero(read)
@@ -215,13 +225,17 @@ def _nonideal_batch(ts, v, t, mode, v_supply, pulse_width, c_gate):
             j += np.arange(j.size)  # the ragged index into g_live
             g_m, v_r = g_live[j], vs[read]
             i = solve_synapse_grid(
-                np.append(g_m, np.full(r_r.size, g_off)),
-                np.append(np.repeat(v_r, n), v_r), ts.v_g, t, mode)[0]
+                np.concatenate((g_m, np.full(r_r.size, g_off), pair[0])),
+                np.concatenate((np.repeat(v_r, n), v_r, pair[1])), ts.v_g, t,
+                mode)[0]
+            k = g_m.size + r_r.size  # then the gain pair, in the first slice
+            if batch.start == 0:
+                gain, pair = secant(i[k:] / v_supply), pair[:, :0]
             current = np.zeros((vs.shape[0], rows, 2 * cols))
-            current[read] = i[g_m.size:, None]  # the row's g_off current
+            current[read] = i[g_m.size:k, None]  # the row's g_off current
             pos = np.repeat((s_r * rows + r_r) * (2 * cols), n) + live_c[j]
             current.reshape(-1)[pos] = i[:g_m.size]
-        col_current.append(current.sum(axis=1))  # fixed global row order
+            col_current.append(current.sum(axis=1))  # fixed global row order
         if pulse_width is not None:  # each row driver: v_r * sum_c I_rc
             with np.errstate(over="ignore"):  # checked once, below
                 resistive.append((vs * current.sum(axis=2)).sum(axis=1))

@@ -224,8 +224,8 @@ def solve_synapse_grid(g_m, v_in, v_g, p: TransistorParams,
         on = v_g > p.vth
         g_eff = np.where(on, g_m, 0.0)
         return g_eff * v_in, np.where(on, 0.0, v_in), g_eff
-    at_zero = v_in == 0.0
-    v_solve = np.where(at_zero, V_EPSILON, v_in)
+    zero = None if v_in.all() else v_in == 0.0  # no zero: no passes to undo
+    v_solve = v_in if zero is None else np.where(zero, V_EPSILON, v_in)
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             u = _solve_drop(g_m, v_solve, v_g, p)
@@ -233,8 +233,8 @@ def solve_synapse_grid(g_m, v_in, v_g, p: TransistorParams,
         raise DomainError(f"cell solve failed: {exc}") from exc
     current = u * np.broadcast_to(g_m, u.shape)
     g_eff = current / v_solve
-    return (np.where(at_zero, 0.0, current),
-            np.where(at_zero, 0.0, v_solve - u), g_eff)
+    restore = np.asarray if zero is None else lambda a: np.where(zero, 0.0, a)
+    return restore(current), restore(v_solve - u), g_eff  # arrays either way
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,8 @@ def _every_cell_solved(ts, x, t, mode, v_supply, pulse_width, c_gate):
 @pytest.mark.parametrize("which", ["device", "stressed"])
 def test_forward_equals_every_cell_solved(monkeypatch, request, mode, which):
     # The analytical forward solves no zero-input cell and one g_off cell
-    # per (sample, row); its results must equal solving every cell.
+    # per (sample, row), in one solve per slice, the first with the readout
+    # gain's pair; its results must equal solving every cell.
     t, mem = request.getfixturevalue(which)
     rng = np.random.default_rng(12)
     w = rng.normal(size=(23, 11))
@@ -217,13 +218,13 @@ def test_forward_equals_every_cell_solved(monkeypatch, request, mode, which):
     solve = crossbar.solve_synapse_grid
 
     def counting(g_m, v_in, *args):
-        if np.ndim(v_in):  # not readout_gain's one-voltage pair
-            cells.append(np.broadcast(g_m, v_in).size)
+        cells.append(np.broadcast(g_m, v_in).size)
         return solve(g_m, v_in, *args)
 
     monkeypatch.setattr(crossbar, "solve_synapse_grid", counting)
     got = mvm_nonideal_batch(ts, x, t, mode=mode, v_supply=0.4,
                              pulse_width=2e-9, c_gate=3e-15)
+    solved = cells[:]  # before the reference's own readout_gain solve
     want = _every_cell_solved(ts, x, t, mode, 0.4, 2e-9, 3e-15)
     assert np.array_equal(got.outputs, want[0])
     assert np.array_equal(got.column_currents, want[1])
@@ -231,7 +232,10 @@ def test_forward_equals_every_cell_solved(monkeypatch, request, mode, which):
     if mode is ANALYTICAL:
         g_all = np.concatenate((ts.g_plus, ts.g_minus), axis=1)
         distinct = np.count_nonzero(g_all != mem.g_off, axis=1) + 1
-        assert sum(cells) == int(((x > 0.0) @ distinct).sum())
+        assert len(solved) == 3
+        assert sum(solved) == int(((x > 0.0) @ distinct).sum()) + 2
+    else:  # the ideal switch solves nothing, its gain is exactly one
+        assert solved == []
 
 
 def test_batch_slice_plan_bounds_cells():

@@ -215,6 +215,25 @@ def test_geff_at_zero_input_is_secant_limit(device):
     _, _, ref_g_eff = solve_synapse_grid(2e-5, V_EPSILON, 0.9, t)
     assert g_eff == pytest.approx(ref_g_eff, rel=1e-12)
     assert g_eff > 0.0
+    # Zeros mixed into a grid: the nonzero reads keep the bits of the grid
+    # solved without the zeros, each zero the exact V_EPSILON secant.
+    g = np.array([5e-6, 1e-5, 3e-5])
+    v = np.array([[0.0], [0.3], [0.0], [0.5]])
+    mixed = solve_synapse_grid(g, v, 0.85, t)
+    alone = solve_synapse_grid(g, v[[1, 3]], 0.85, t)
+    for got, want in zip(mixed, alone):
+        assert np.array_equal(got[[1, 3]], want)
+    assert not np.any(mixed[0][[0, 2]]) and not np.any(mixed[1][[0, 2]])
+    secant = solve_synapse_grid(g, V_EPSILON, 0.85, t)[2]
+    assert np.array_equal(mixed[2][[0, 2]], [secant, secant])
+    # Types and shapes do not depend on whether an input is zero.
+    for g_m, v_in in [(2e-5, 0.3), (g, 0.3), (2e-5, v[1:2]), (g, v[[1, 3]])]:
+        some = solve_synapse_grid(g_m, v_in, 0.85, t)
+        zero = solve_synapse_grid(g_m, np.zeros_like(v_in), 0.85, t)
+        assert ([(type(a), np.shape(a), a.dtype) for a in some]
+                == [(type(a), np.shape(a), a.dtype) for a in zero])
+    assert all(isinstance(a, np.ndarray) for a in
+               solve_synapse_grid(2e-5, 0.3, 0.85, t)[:2])
 
 
 def test_ideal_switch_limits(device):

@@ -82,11 +82,17 @@ RUNS = [
                        *IDEAL]),
     (0, "eval_stressed", ["eval", "--checkpoint", NEAT, "--mode", "crossbar",
                           *STRESSED]),
+    # the ideal switch below threshold: every column sums to zero
+    (0, "eval_stressed_ideal", ["eval", "--checkpoint", NEAT, "--mode",
+                                "crossbar", *STRESSED, *IDEAL]),
     (0, "energy", ["energy", "--checkpoint", NEAT, "--max-samples", "20"]),
     (0, "energy_ideal", ["energy", "--checkpoint", NEAT, "--max-samples",
                          "20", *IDEAL]),
     (0, "energy_stressed", ["energy", "--checkpoint", NEAT, "--max-samples",
                             "20", *STRESSED]),
+    # the ideal switch below threshold: gate charge only
+    (0, "energy_stressed_ideal", ["energy", "--checkpoint", NEAT,
+                                  "--max-samples", "20", *STRESSED, *IDEAL]),
     # the resistive term alone: no gate charge, twice the pulse
     (0, "energy_resistive", ["energy", "--checkpoint", NEAT, "--max-samples",
                              "20", "--c-gate", "0", "--pulse-width", "2e-9"]),
